@@ -9,6 +9,13 @@ row sums of p's Hessian block; it coincides with the block's diagonal
 whenever the block is diagonal, as it is for the scale and shift of a
 terminal batch-norm layer under an elementwise loss.
 
+Both sweeps run through one routine that lets adjoints flow only into a
+given set of nodes. The first backward pass admits every node that
+requires a gradient; the second admits only p's descendant cone, the
+nodes between p and g_p that depend on p, since no other node's adjoint
+can reach p. Skipping the rest (the activations upstream of p above all)
+leaves every curvature vector bit for bit unchanged.
+
 Tapes are define-by-run and single-use: build a fresh Graph per step.
 """
 
@@ -68,13 +75,12 @@ class Graph:
         return Variable(self, value, False, op="const")
 
     def release(self) -> None:
-        """Severs every node's tape edges and drops the node list. Adjoint
-        attributes and self-capturing vjp closures (exp, sqrt, recip) tie the
-        forward and backward webs into reference cycles that refcounting
-        cannot free, so a finished tape otherwise lives until a full gc pass.
-        No sweep may run afterwards."""
+        """Severs every node's tape edges and drops the node list.
+        Self-capturing vjp closures (exp, sqrt, recip) tie the forward and
+        backward webs into reference cycles that refcounting cannot free, so
+        a finished tape otherwise lives until a full gc pass. No sweep may
+        run afterwards."""
         for v in self.nodes:
-            v.adjoint = None
             v.vjp = None
             v.parents = ()
         self.nodes.clear()
@@ -86,11 +92,11 @@ class Graph:
 
 
 class Variable:
-    """One tape node: forward value, parent edges, a vjp closure that maps
-    an output adjoint to per-parent contributions, and an adjoint slot
-    filled by the most recent backward pass."""
+    """One tape node: forward value, parent edges, and a vjp closure that
+    maps an output adjoint and a per-parent mask of wanted contributions to
+    a list with one contribution (or None where unwanted) per parent."""
 
-    __slots__ = ("graph", "id", "value", "requires_grad", "parents", "vjp", "adjoint", "kind", "op")
+    __slots__ = ("graph", "id", "value", "requires_grad", "parents", "vjp", "kind", "op")
 
     def __init__(self, graph, value, requires_grad, parents=(), vjp=None, kind=None, op=""):
         self.graph = graph
@@ -98,7 +104,6 @@ class Variable:
         self.requires_grad = bool(requires_grad)
         self.parents = tuple(parents)
         self.vjp = vjp if self.requires_grad else None
-        self.adjoint: Variable | None = None
         self.kind = kind
         self.op = op
         self.id = graph._append(self)
@@ -167,8 +172,8 @@ def _align(a: Variable, b: Variable) -> tuple[Variable, Variable]:
 def add(a: Variable, b: Variable) -> Variable:
     a, b = _align(a, b)
 
-    def vjp(g):
-        return [g if a.requires_grad else None, g if b.requires_grad else None]
+    def vjp(g, want):
+        return [g if want[0] else None, g if want[1] else None]
 
     return _op(a.graph, a.value + b.value, (a, b), vjp, "add")
 
@@ -176,14 +181,14 @@ def add(a: Variable, b: Variable) -> Variable:
 def sub(a: Variable, b: Variable) -> Variable:
     a, b = _align(a, b)
 
-    def vjp(g):
-        return [g if a.requires_grad else None, neg(g) if b.requires_grad else None]
+    def vjp(g, want):
+        return [g if want[0] else None, neg(g) if want[1] else None]
 
     return _op(a.graph, a.value - b.value, (a, b), vjp, "sub")
 
 
 def neg(a: Variable) -> Variable:
-    def vjp(g):
+    def vjp(g, want):
         return [neg(g)]
 
     return _op(a.graph, -a.value, (a,), vjp, "neg")
@@ -192,10 +197,10 @@ def neg(a: Variable) -> Variable:
 def mul(a: Variable, b: Variable) -> Variable:
     a, b = _align(a, b)
 
-    def vjp(g):
+    def vjp(g, want):
         return [
-            mul(g, b) if a.requires_grad else None,
-            mul(g, a) if b.requires_grad else None,
+            mul(g, b) if want[0] else None,
+            mul(g, a) if want[1] else None,
         ]
 
     return _op(a.graph, a.value * b.value, (a, b), vjp, "mul")
@@ -205,7 +210,7 @@ def recip(a: Variable) -> Variable:
     out = _op(a.graph, elementwise("recip", a.value), (a,), None, "recip")
     if out.requires_grad:
 
-        def vjp(g):
+        def vjp(g, want):
             return [neg(mul(g, mul(out, out)))]
 
         out.vjp = vjp
@@ -224,7 +229,7 @@ def cadd(a: Variable, c) -> Variable:
             f"constant of shape {np.shape(c)} widens variable of shape {a.shape}"
         )
 
-    def vjp(g):
+    def vjp(g, want):
         return [g]
 
     return _op(a.graph, value, (a,), vjp, "cadd")
@@ -240,7 +245,7 @@ def cmul(a: Variable, c) -> Variable:
             f"constant of shape {np.shape(c)} widens variable of shape {a.shape}"
         )
 
-    def vjp(g):
+    def vjp(g, want):
         return [cmul(g, c)]
 
     return _op(a.graph, value, (a,), vjp, "cmul")
@@ -250,7 +255,7 @@ def sqrt(a: Variable) -> Variable:
     out = _op(a.graph, elementwise("sqrt", a.value), (a,), None, "sqrt")
     if out.requires_grad:
 
-        def vjp(g):
+        def vjp(g, want):
             return [mul(g, cmul(recip(out), 0.5))]
 
         out.vjp = vjp
@@ -261,7 +266,7 @@ def exp(a: Variable) -> Variable:
     out = _op(a.graph, elementwise("exp", a.value), (a,), None, "exp")
     if out.requires_grad:
 
-        def vjp(g):
+        def vjp(g, want):
             return [mul(g, out)]
 
         out.vjp = vjp
@@ -269,7 +274,7 @@ def exp(a: Variable) -> Variable:
 
 
 def log(a: Variable) -> Variable:
-    def vjp(g):
+    def vjp(g, want):
         return [mul(g, recip(a))]
 
     return _op(a.graph, elementwise("log", a.value), (a,), vjp, "log")
@@ -278,7 +283,7 @@ def log(a: Variable) -> Variable:
 def relu(a: Variable) -> Variable:
     mask = (a.value > 0).astype(a.value.dtype)
 
-    def vjp(g):
+    def vjp(g, want):
         return [cmul(g, mask)]
 
     return _op(a.graph, elementwise("relu", a.value), (a,), vjp, "relu")
@@ -287,7 +292,7 @@ def relu(a: Variable) -> Variable:
 def abs_(a: Variable) -> Variable:
     sign = np.sign(a.value).astype(a.value.dtype)
 
-    def vjp(g):
+    def vjp(g, want):
         return [cmul(g, sign)]
 
     return _op(a.graph, elementwise("abs", a.value), (a,), vjp, "abs")
@@ -296,10 +301,10 @@ def abs_(a: Variable) -> Variable:
 def matmul(a: Variable, b: Variable) -> Variable:
     value = _matmul_np(a.value, b.value)
 
-    def vjp(g):
+    def vjp(g, want):
         return [
-            matmul(g, transpose(b)) if a.requires_grad else None,
-            matmul(transpose(a), g) if b.requires_grad else None,
+            matmul(g, transpose(b)) if want[0] else None,
+            matmul(transpose(a), g) if want[1] else None,
         ]
 
     return _op(a.graph, value, (a, b), vjp, "matmul")
@@ -309,7 +314,7 @@ def transpose(a: Variable) -> Variable:
     if a.value.ndim != 2:
         raise ShapeMismatchError(f"transpose needs a 2-D value, got {a.shape}")
 
-    def vjp(g):
+    def vjp(g, want):
         return [transpose(g)]
 
     return _op(a.graph, a.value.T, (a,), vjp, "transpose")
@@ -318,7 +323,7 @@ def transpose(a: Variable) -> Variable:
 def permute(a: Variable, axes: tuple) -> Variable:
     inv = tuple(int(i) for i in np.argsort(axes))
 
-    def vjp(g):
+    def vjp(g, want):
         return [permute(g, inv)]
 
     return _op(a.graph, np.transpose(a.value, axes), (a,), vjp, "permute")
@@ -327,7 +332,7 @@ def permute(a: Variable, axes: tuple) -> Variable:
 def reshape(a: Variable, shape: tuple) -> Variable:
     src = a.shape
 
-    def vjp(g):
+    def vjp(g, want):
         return [reshape(g, src)]
 
     return _op(a.graph, a.value.reshape(shape), (a,), vjp, "reshape")
@@ -336,7 +341,7 @@ def reshape(a: Variable, shape: tuple) -> Variable:
 def broadcast_to(a: Variable, shape: tuple) -> Variable:
     src = a.shape
 
-    def vjp(g):
+    def vjp(g, want):
         return [_sum_to(g, src)]
 
     return _op(a.graph, np.broadcast_to(a.value, shape), (a,), vjp, "broadcast")
@@ -347,7 +352,7 @@ def sum_axes(a: Variable, axes: tuple) -> Variable:
     keep = tuple(1 if i in axes else d for i, d in enumerate(a.shape))
     src = a.shape
 
-    def vjp(g):
+    def vjp(g, want):
         return [broadcast_to(reshape(g, keep), src)]
 
     return _op(a.graph, np.sum(a.value, axis=axes), (a,), vjp, "sum")
@@ -381,14 +386,14 @@ def _sum_to(g: Variable, shape: tuple) -> Variable:
 def unfold(x: Variable, kh: int, kw: int, pads: tuple) -> Variable:
     src = x.shape
 
-    def vjp(g):
+    def vjp(g, want):
         return [fold(g, src, kh, kw, pads)]
 
     return _op(x.graph, unfold2d(x.value, kh, kw, pads), (x,), vjp, "unfold")
 
 
 def fold(cols: Variable, x_shape: tuple, kh: int, kw: int, pads: tuple) -> Variable:
-    def vjp(g):
+    def vjp(g, want):
         return [unfold(g, kh, kw, pads)]
 
     return _op(cols.graph, fold2d(cols.value, x_shape, kh, kw, pads), (cols,), vjp, "fold")
@@ -416,28 +421,41 @@ def conv2d(x: Variable, w: Variable, padding: str = "valid") -> Variable:
 # backward machinery
 
 
-def _sweep(graph: Graph, seeds: dict[int, Variable], publish: bool) -> dict[int, Variable]:
-    """Reverse accumulation from seed adjoints. Visits recorded nodes in
-    strictly decreasing id order; each node's vjp fires exactly once, so
-    every tape edge receives exactly one adjoint contribution."""
-    adj = dict(seeds)
-    if not adj:
-        return adj
-    for nid in range(max(adj), -1, -1):
+def _sweep(graph: Graph, root: Variable, reach: set[int]) -> dict[int, Variable]:
+    """Reverse accumulation of d(sum root)/d(node) from a ones seed at root.
+    Visits recorded nodes in strictly decreasing id order; each node's vjp
+    fires at most once, so every tape edge receives at most one adjoint
+    contribution. `reach` holds the ids of the nodes an adjoint must flow
+    into: parents outside it get no contribution, and each vjp receives the
+    per-parent mask so it builds only the contributions that are wanted.
+    A node whose parents are all outside `reach` does not fire."""
+    seed = Variable(graph, np.ones_like(root.value), False, op="const")
+    adj = {root.id: seed}
+    for nid in range(root.id, -1, -1):
         g = adj.get(nid)
         if g is None:
             continue
         node = graph.nodes[nid]
-        if publish:
-            node.adjoint = g
-        if node.vjp is None:
+        want = [p.id in reach for p in node.parents]
+        if not any(want):
             continue
-        for p, c in zip(node.parents, node.vjp(g)):
-            if c is None or not p.requires_grad or p.id < 0:
+        for p, c in zip(node.parents, node.vjp(g, want)):
+            if c is None:
                 continue
             prev = adj.get(p.id)
             adj[p.id] = c if prev is None else add(prev, c)
     return adj
+
+
+def _cone(graph: Graph, p: Variable, last: int) -> set[int]:
+    """Ids of p and of every node up to id `last` that depends on p: one
+    forward pass marking a node when any of its parents is marked. Node ids
+    are topological, so no descendant of p precedes it."""
+    cone = {p.id}
+    for node in graph.nodes[p.id + 1 : last + 1]:
+        if any(q.id in cone for q in node.parents):
+            cone.add(node.id)
+    return cone
 
 
 def backward(loss: Variable, retain_differentiable: bool = False) -> dict[int, np.ndarray]:
@@ -450,11 +468,11 @@ def backward(loss: Variable, retain_differentiable: bool = False) -> dict[int, n
         raise NonScalarLossError(f"loss must be a scalar, got shape {loss.shape}")
     if loss.id < 0:
         raise MissingDifferentiableGraphError("loss was built while recording was off")
+    reach = {node.id for node in graph.nodes if node.requires_grad}
     prev = graph.recording
     graph.recording = bool(retain_differentiable)
     try:
-        seed = Variable(graph, np.ones_like(loss.value), False, op="const")
-        adj = _sweep(graph, {loss.id: seed}, publish=True)
+        adj = _sweep(graph, loss, reach)
     finally:
         graph.recording = prev
     grads: dict[int, np.ndarray] = {}
@@ -472,7 +490,9 @@ def backward(loss: Variable, retain_differentiable: bool = False) -> dict[int, n
 def hessian_diag_1d(loss: Variable, p: Variable) -> np.ndarray:
     """Channel-wise curvature of a 1-D parameter: seeds a second reverse
     sweep with ones at p's retained gradient, returning d(sum grad_p)/dp,
-    i.e. the row sums H_pp @ 1 of p's exact Hessian block."""
+    i.e. the row sums H_pp @ 1 of p's exact Hessian block. The sweep visits
+    only p's descendant cone below grad_p, the nodes through which an
+    adjoint can reach p."""
     if p.kind != CHANNELWISE_1D or p.value.ndim != 1:
         raise WrongKindError(
             f"hessian_diag_1d needs a 1-D parameter tagged {CHANNELWISE_1D!r}, "
@@ -491,17 +511,8 @@ def hessian_diag_1d(loss: Variable, p: Variable) -> np.ndarray:
     prev = graph.recording
     graph.recording = False
     try:
-        seed = Variable(graph, np.ones_like(g_p.value), False, op="const")
-        adj = _sweep(graph, {g_p.id: seed}, publish=False)
+        adj = _sweep(graph, g_p, _cone(graph, p, g_p.id))
     finally:
         graph.recording = prev
     a = adj.get(p.id)
     return np.zeros_like(p.value) if a is None else np.array(a.value)
-
-
-def zero_adjoints(graph: Graph) -> None:
-    """Clear every adjoint slot and the retained-gradient registry; the
-    tape itself stays valid for another backward pass."""
-    for node in graph.nodes:
-        node.adjoint = None
-    graph.retained = None

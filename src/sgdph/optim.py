@@ -112,10 +112,14 @@ def update_grad_momentum(ps: ParamState, g: np.ndarray, beta_m: float,
 def direction_1d(ps: ParamState, g: np.ndarray, h: np.ndarray, cfg: SgdPhConfig) -> np.ndarray:
     h_tilde = rectify(h, cfg.eps)
     m_h = update_hessian_momentum(ps, h_tilde, cfg.alpha, cfg.momentum_convention)
-    if np.min(m_h) <= 0:
+    # written so that NaN fails it: every comparison with NaN is False
+    bad = ~(np.isfinite(m_h) & (m_h > 0))
+    if bad.any():
+        i = int(np.argmax(bad))
         raise InvariantViolation(
-            f"hessian momentum lost positivity (min {np.min(m_h):.3e}); "
-            "eps = 0 with zero curvature?"
+            f"hessian momentum not finite and positive in {int(bad.sum())} of {m_h.size} "
+            f"channels (channel {i}: {m_h[i]:.3e}); "
+            "non-finite curvature, or eps = 0 with zero curvature?"
         )
     m_g = update_grad_momentum(ps, g, cfg.beta_m, cfg.momentum_convention)
     return cfg.tau_so * m_g / m_h
@@ -146,7 +150,10 @@ def step(model, grads: dict, hdiags: dict, cfg: SgdPhConfig, state: OptState) ->
         if p.kind == ad.CHANNELWISE_1D:
             if p.name not in hdiags:
                 raise MissingUpdateError(f"no curvature supplied for 1-D parameter {p.name!r}")
-            d = direction_1d(ps, grads[p.name], hdiags[p.name], cfg)
+            try:
+                d = direction_1d(ps, grads[p.name], hdiags[p.name], cfg)
+            except InvariantViolation as e:
+                raise InvariantViolation(f"parameter {p.name!r}: {e}") from None
         else:
             d = direction_dense(ps, grads[p.name], cfg)
         _apply(p, d, cfg)

@@ -246,26 +246,45 @@ def save_checkpoint(path: str, model: nn.Model, dtype: str) -> None:
 
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
+    """Reads a save_checkpoint file. A bad magic, version or width byte, a
+    truncated header or payload, or bytes after the payload raise
+    ValueError naming the byte offset."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != CKPT_MAGIC:
-            raise ValueError(f"bad checkpoint magic {magic!r} in {path}")
-        version, width, count = struct.unpack("<IBI", f.read(9))
-        if version != CKPT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        code = "<f4" if width == 4 else "<f8"
-        table = []
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", f.read(2))
-            name = f.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = tuple(struct.unpack("<I", f.read(4))[0] for _ in range(ndim))
-            table.append((name, shape))
-        out = {}
-        for name, shape in table:
-            n_items = int(np.prod(shape)) if shape else 1
-            buf = f.read(n_items * width)
-            out[name] = np.frombuffer(buf, dtype=code).reshape(shape).copy()
+        raw = f.read()
+    offset = 0
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal offset
+        if len(raw) - offset < n:
+            raise ValueError(f"truncated checkpoint {path}: wanted {n} bytes for {what} "
+                             f"at byte offset {offset}, got {len(raw) - offset}")
+        offset += n
+        return raw[offset - n : offset]
+
+    magic = take(4, "magic")
+    if magic != CKPT_MAGIC:
+        raise ValueError(f"bad checkpoint magic {magic!r} in {path}")
+    version, width, count = struct.unpack("<IBI", take(9, "header"))
+    if version != CKPT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version} at byte offset 4 of {path}")
+    if width not in (4, 8):
+        raise ValueError(f"checkpoint width {width} at byte offset 8 of {path} is not 4 or 8")
+    code = "<f4" if width == 4 else "<f8"
+    table = []
+    for _ in range(count):
+        (name_len,) = struct.unpack("<H", take(2, "name length"))
+        name = take(name_len, "name").decode("utf-8")
+        (ndim,) = struct.unpack("<B", take(1, f"rank of {name}"))
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"shape of {name}"))
+        table.append((name, shape))
+    out = {}
+    for name, shape in table:
+        n_items = int(np.prod(shape)) if shape else 1
+        buf = take(n_items * width, f"payload of {name}")
+        out[name] = np.frombuffer(buf, dtype=code).reshape(shape).copy()
+    if offset != len(raw):
+        raise ValueError(f"{path}: {len(raw) - offset} unexpected bytes after payload "
+                         f"at byte offset {offset}")
     return out
 
 

@@ -106,6 +106,14 @@ class TestDirections:
         with pytest.raises(optim.InvariantViolation):
             optim.direction_1d(fresh([p])[p.name], np.array([1.0]), np.array([0.0]), cfg)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_curvature_raises(self, bad):
+        # NaN compares False with everything, so a `min <= 0` guard passed it
+        cfg = optim.SgdPhConfig()
+        p = make_param(kind=ad.CHANNELWISE_1D)
+        with pytest.raises(optim.InvariantViolation, match="1 of 2 channels"):
+            optim.direction_1d(fresh([p])[p.name], np.ones(2), np.array([1.0, bad]), cfg)
+
     def test_eps_floor_rescues_zero_curvature(self):
         cfg = optim.SgdPhConfig(eps=0.0001)
         p = make_param(value=(1.0,), kind=ad.CHANNELWISE_1D)
@@ -140,6 +148,16 @@ class TestStep:
         p = make_param(kind=ad.CHANNELWISE_1D)
         with pytest.raises(optim.MissingUpdateError):
             optim.step([p], {"p": np.zeros(2)}, {}, cfg, fresh([p]))
+
+    def test_nan_curvature_names_parameter(self):
+        cfg = optim.SgdPhConfig()
+        params = [make_param("w"), make_param("bn.gamma", kind=ad.CHANNELWISE_1D)]
+        before = params[1].value.copy()
+        grads = {"w": np.ones(2), "bn.gamma": np.ones(2)}
+        with pytest.raises(optim.InvariantViolation, match="parameter 'bn.gamma'"):
+            optim.step(params, grads, {"bn.gamma": np.array([np.nan, 1.0])}, cfg,
+                       fresh(params))
+        np.testing.assert_array_equal(params[1].value, before)
 
     def test_counters(self):
         cfg = optim.SgdPhConfig()

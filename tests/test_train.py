@@ -7,9 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
+from sgdph import nn
 from sgdph import train as tr
 from sgdph.config import ConfigError, RunConfig
 from sgdph.data import gen_blobs
+from sgdph.tensor import Rng
 
 
 def small_cfg(tmp_path, tag, **kwargs):
@@ -162,6 +164,44 @@ class TestCheckpoints:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
             tr.load_checkpoint(str(path))
+
+    @staticmethod
+    def saved_bytes(tmp_path):
+        """A valid f32 checkpoint of an untrained mlp-bn (hidden width 32),
+        whose last entry is the 32-float bn1.running_var."""
+        model = nn.build_model("mlp-bn", Rng(0), in_shape=(2,), n_classes=3,
+                               dtype=np.float32)
+        path = tmp_path / "ok.ckpt"
+        tr.save_checkpoint(str(path), model, "f32")
+        return path.read_bytes()
+
+    def load_bytes(self, tmp_path, raw):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(raw)
+        return tr.load_checkpoint(str(path))
+
+    def test_truncated_header_rejected(self, tmp_path):
+        raw = self.saved_bytes(tmp_path)
+        with pytest.raises(ValueError, match="9 bytes for header at byte offset 4, got 6"):
+            self.load_bytes(tmp_path, raw[:10])
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        raw = self.saved_bytes(tmp_path)
+        with pytest.raises(ValueError, match=f"128 bytes for payload of bn1.running_var "
+                                             f"at byte offset {len(raw) - 128}, got 127"):
+            self.load_bytes(tmp_path, raw[:-1])
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        raw = self.saved_bytes(tmp_path)
+        with pytest.raises(ValueError, match=f"2 unexpected bytes after payload "
+                                             f"at byte offset {len(raw)}"):
+            self.load_bytes(tmp_path, raw + b"\x00\x00")
+
+    def test_bad_width_rejected(self, tmp_path):
+        raw = bytearray(self.saved_bytes(tmp_path))
+        raw[8] = 2
+        with pytest.raises(ValueError, match="width 2 at byte offset 8"):
+            self.load_bytes(tmp_path, bytes(raw))
 
 
 class TestDatasets:
