@@ -17,7 +17,7 @@ momentum_convention="classical" for the mirrored form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -135,42 +135,47 @@ def _params_of(model_or_params):
     return list(model_or_params)
 
 
-def _apply(p, direction: np.ndarray, cfg: SgdPhConfig) -> None:
-    d_tilde = direction + cfg.eta * p.value
-    p.value = p.value - cfg.tau * d_tilde
+def _step(params, grads: dict, hdiags: dict | None, cfg: SgdPhConfig,
+          state: OptState) -> None:
+    """Updates every parameter or none. The first phase computes each
+    parameter's momenta and new value on a shallow copy of its slot (the
+    momentum updates rebind arrays, never write into them) and raises
+    before anything is committed; the second commits them all. hdiags=None
+    treats every parameter as dense."""
+    staged = []
+    for p in _params_of(params):
+        if p.name not in grads:
+            raise MissingUpdateError(f"no gradient supplied for parameter {p.name!r}")
+        new = replace(state[p.name])
+        if hdiags is not None and p.kind == ad.CHANNELWISE_1D:
+            if p.name not in hdiags:
+                raise MissingUpdateError(f"no curvature supplied for 1-D parameter {p.name!r}")
+            try:
+                d = direction_1d(new, grads[p.name], hdiags[p.name], cfg)
+            except InvariantViolation as e:
+                raise InvariantViolation(f"parameter {p.name!r}: {e}") from None
+        else:
+            d = direction_dense(new, grads[p.name], cfg)
+        # decoupled decay: w -= tau * (d + eta * w)
+        staged.append((p, new, p.value - cfg.tau * (d + cfg.eta * p.value)))
+    for p, new, value in staged:
+        ps = state[p.name]
+        ps.m_g, ps.m_h = new.m_g, new.m_h
+        ps.updates += 1
+        p.value = value
+    state.steps += 1
 
 
 def step(model, grads: dict, hdiags: dict, cfg: SgdPhConfig, state: OptState) -> None:
     """One compound update. grads must cover every parameter; hdiags must
-    cover every channelwise-1d parameter."""
-    for p in _params_of(model):
-        if p.name not in grads:
-            raise MissingUpdateError(f"no gradient supplied for parameter {p.name!r}")
-        ps = state[p.name]
-        if p.kind == ad.CHANNELWISE_1D:
-            if p.name not in hdiags:
-                raise MissingUpdateError(f"no curvature supplied for 1-D parameter {p.name!r}")
-            try:
-                d = direction_1d(ps, grads[p.name], hdiags[p.name], cfg)
-            except InvariantViolation as e:
-                raise InvariantViolation(f"parameter {p.name!r}: {e}") from None
-        else:
-            d = direction_dense(ps, grads[p.name], cfg)
-        _apply(p, d, cfg)
-        ps.updates += 1
-    state.steps += 1
+    cover every channelwise-1d parameter. A failing parameter leaves every
+    parameter and slot as it was."""
+    _step(model, grads, hdiags, cfg, state)
 
 
 def sgdm_step(model, grads: dict, cfg: SgdPhConfig, state: OptState) -> None:
-    """Baseline: the dense branch applied to every parameter uniformly."""
-    for p in _params_of(model):
-        if p.name not in grads:
-            raise MissingUpdateError(f"no gradient supplied for parameter {p.name!r}")
-        ps = state[p.name]
-        d = direction_dense(ps, grads[p.name], cfg)
-        _apply(p, d, cfg)
-        ps.updates += 1
-    state.steps += 1
+    """Baseline: the compound update with every parameter treated as dense."""
+    _step(model, grads, None, cfg, state)
 
 
 def decayed_tau(base_tau: float, epoch: int, decay_every: int, decay_factor: float) -> float:

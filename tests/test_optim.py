@@ -152,12 +152,26 @@ class TestStep:
     def test_nan_curvature_names_parameter(self):
         cfg = optim.SgdPhConfig()
         params = [make_param("w"), make_param("bn.gamma", kind=ad.CHANNELWISE_1D)]
-        before = params[1].value.copy()
         grads = {"w": np.ones(2), "bn.gamma": np.ones(2)}
+        state = fresh(params)
+        # one good step first, so the slots hold nonzero momenta
+        optim.step(params, grads, {"bn.gamma": np.ones(2)}, cfg, state)
+        values = [p.value.copy() for p in params]
+        slots = {name: (ps.m_g.copy(), None if ps.m_h is None else ps.m_h.copy(), ps.updates)
+                 for name, ps in state.slots.items()}
         with pytest.raises(optim.InvariantViolation, match="parameter 'bn.gamma'"):
-            optim.step(params, grads, {"bn.gamma": np.array([np.nan, 1.0])}, cfg,
-                       fresh(params))
-        np.testing.assert_array_equal(params[1].value, before)
+            optim.step(params, grads, {"bn.gamma": np.array([np.nan, 1.0])}, cfg, state)
+        # the dense w comes first, yet nothing of the failed step is applied
+        for p, before in zip(params, values):
+            np.testing.assert_array_equal(p.value, before)
+        for name, (m_g, m_h, updates) in slots.items():
+            np.testing.assert_array_equal(state[name].m_g, m_g)
+            if m_h is None:
+                assert state[name].m_h is None
+            else:
+                np.testing.assert_array_equal(state[name].m_h, m_h)
+            assert state[name].updates == updates == 1
+        assert state.steps == 1
 
     def test_counters(self):
         cfg = optim.SgdPhConfig()

@@ -1,16 +1,19 @@
 """Training loop artifacts: metrics layout, determinism, counters,
 checkpoints, and the two-optimizer comparison."""
 
+import itertools
 import json
+import platform
 import warnings
 
 import numpy as np
 import pytest
 
+from sgdph import autodiff as ad
 from sgdph import nn
 from sgdph import train as tr
 from sgdph.config import ConfigError, RunConfig
-from sgdph.data import gen_blobs
+from sgdph.data import gen_blobs, write_digits_fixture
 from sgdph.tensor import Rng
 
 
@@ -97,6 +100,49 @@ class TestTrainLoop:
                 tr.train(cfg)
         records = read_records(cfg.out_metrics)
         assert records[-1]["loss"] is None and records[-1]["accuracy"] is None
+
+    def test_optimizer_failure_names_epoch_and_step(self, tmp_path, monkeypatch):
+        real = ad.hessian_diag_1d
+        calls = itertools.count()
+
+        def nan_from_step_1(loss, p):
+            # mlp-bn has two 1-D parameters, so calls 2 and up are step 1's
+            h = real(loss, p)
+            return np.full_like(h, np.nan) if next(calls) >= 2 else h
+
+        monkeypatch.setattr(ad, "hessian_diag_1d", nan_from_step_1)
+        cfg = small_cfg(tmp_path, "nan-h", optimizer="sgdph", epochs=1)
+        with pytest.raises(tr.TrainAbortError,
+                           match=r"^epoch 0 step 1: parameter 'bn1.gamma': "
+                                 r"hessian momentum not finite"):
+            tr.train(cfg)
+        records = read_records(cfg.out_metrics)
+        assert [(r["epoch"], r["step"], r["split"]) for r in records] == [(0, 0, "train")]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap policy is set through glibc's mallopt")
+def test_repeat_train_reuses_freed_heap(tmp_path):
+    """A second one-step cnn-bn run reuses the heap the first one grew.
+    Under an mmap threshold or heap trimming, the tape's arrays are
+    returned to the kernel on release and faulted in again: about 40k
+    minor faults per call at this size."""
+    import resource
+
+    paths = write_digits_fixture(str(tmp_path / "idx"), n_train=100, n_test=100, seed=0)
+    cfg = RunConfig(model="cnn-bn", optimizer="sgdm", dtype="f32", epochs=1,
+                    batch_size=100, seed=0, dataset_kind="idx", dataset_subset_n=100,
+                    dataset_train_images=paths["train_images"],
+                    dataset_train_labels=paths["train_labels"],
+                    dataset_test_images=paths["test_images"],
+                    dataset_test_labels=paths["test_labels"],
+                    out_metrics=str(tmp_path / "m.jsonl"),
+                    out_checkpoint=str(tmp_path / "m.ckpt"))
+    assert tr.train(cfg).counters["steps"] == 1
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    tr.train(cfg)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 1000, f"{faults} minor faults on a repeated one-step run"
 
 
 class TestCounters:
