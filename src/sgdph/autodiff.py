@@ -87,9 +87,6 @@ class Graph:
         self.retained = None
         self.recording = False
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
 
 class Variable:
     """One tape node: forward value, parent edges, and a vjp closure that
@@ -115,34 +112,6 @@ class Variable:
     @property
     def dtype(self):
         return self.value.dtype
-
-    def __add__(self, other):
-        return cadd(self, other) if isinstance(other, (int, float)) else add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return cadd(self, -other) if isinstance(other, (int, float)) else sub(self, other)
-
-    def __rsub__(self, other):
-        return cadd(neg(self), other)
-
-    def __mul__(self, other):
-        return cmul(self, other) if isinstance(other, (int, float)) else mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return cmul(self, 1.0 / other) if isinstance(other, (int, float)) else div(self, other)
-
-    def __rtruediv__(self, other):
-        return cmul(recip(self), other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Variable(id={self.id}, op={self.op!r}, shape={self.shape})"
@@ -217,10 +186,6 @@ def recip(a: Variable) -> Variable:
     return out
 
 
-def div(a: Variable, b: Variable) -> Variable:
-    return mul(a, recip(b))
-
-
 def cadd(a: Variable, c) -> Variable:
     """Add a non-differentiable constant (scalar or array)."""
     value = a.value + c
@@ -238,7 +203,7 @@ def cadd(a: Variable, c) -> Variable:
 def cmul(a: Variable, c) -> Variable:
     """Multiply by a non-differentiable constant (scalar or array). The
     constant is invisible to differentiation: this is how zero second
-    derivatives of relu/abs kinks enter the tape."""
+    derivatives of relu kinks enter the tape."""
     value = a.value * c
     if value.shape != a.shape:
         raise ShapeMismatchError(
@@ -287,15 +252,6 @@ def relu(a: Variable) -> Variable:
         return [cmul(g, mask)]
 
     return _op(a.graph, elementwise("relu", a.value), (a,), vjp, "relu")
-
-
-def abs_(a: Variable) -> Variable:
-    sign = np.sign(a.value).astype(a.value.dtype)
-
-    def vjp(g, want):
-        return [cmul(g, sign)]
-
-    return _op(a.graph, elementwise("abs", a.value), (a,), vjp, "abs")
 
 
 def matmul(a: Variable, b: Variable) -> Variable:

@@ -20,6 +20,8 @@ from . import autodiff as ad
 from .tensor import Rng, ShapeMismatchError, conv2d as conv2d_np, moments
 
 NORM_FLOOR = 1e-12
+# weight of the new batch statistic in the running-statistics update
+_STAT_MOMENTUM = 0.1
 
 
 class LabelRangeError(ValueError):
@@ -44,6 +46,11 @@ class Parameter:
 def _kaiming_uniform(rng: Rng, shape: tuple, fan_in: int, dtype) -> np.ndarray:
     bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, shape, dtype=dtype)
+
+
+def _add_channel_bias(y: ad.Variable, b: ad.Variable) -> ad.Variable:
+    """y + b over the channel axis of an [N,C,H,W] activation."""
+    return ad.add(y, ad.broadcast_to(ad.reshape(b, (1, y.shape[1], 1, 1)), y.shape))
 
 
 class Layer:
@@ -94,12 +101,9 @@ class Conv2d(Layer):
     def params(self):
         return [self.weight, self.bias]
 
-    def _add_bias_v(self, y, b):
-        return ad.add(y, ad.broadcast_to(ad.reshape(b, (1, y.shape[1], 1, 1)), y.shape))
-
     def forward_v(self, x, env, training):
         y = ad.conv2d(x, env[self.weight.name], padding=self.padding)
-        return self._add_bias_v(y, env[self.bias.name])
+        return _add_channel_bias(y, env[self.bias.name])
 
     def forward_np(self, x, values, training):
         y = conv2d_np(x, values[self.weight.name], padding=self.padding)
@@ -122,22 +126,14 @@ class WNConv(Layer):
         gamma0 = np.sqrt(np.sum(v0.astype(np.float64) ** 2, axis=(1, 2, 3))).astype(dtype)
         self.gamma = Parameter(f"{name}.gamma", gamma0, ad.CHANNELWISE_1D)
         self.bias = Parameter(f"{name}.bias", np.zeros(c_out, dtype=dtype), bias_kind)
-        self._check_norms(v0)
+        _direction_norms(v0, name)
 
     def params(self):
         return [self.v, self.gamma, self.bias]
 
-    def _check_norms(self, v: np.ndarray) -> np.ndarray:
-        norms = np.sqrt(np.sum(v * v, axis=(1, 2, 3)))
-        if np.min(norms) < NORM_FLOOR:
-            raise DegenerateNormError(
-                f"{self.name}: direction norm {np.min(norms):.3e} below floor {NORM_FLOOR:.0e}"
-            )
-        return norms
-
     def reparam_v(self, env) -> ad.Variable:
         v, gamma = env[self.v.name], env[self.gamma.name]
-        self._check_norms(v.value)
+        _direction_norms(v.value, self.name)
         s = ad.sum_axes(ad.mul(v, v), (1, 2, 3))
         scale = ad.mul(gamma, ad.recip(ad.sqrt(s)))
         cout = v.shape[0]
@@ -146,7 +142,7 @@ class WNConv(Layer):
     def forward_v(self, x, env, training):
         w = self.reparam_v(env)
         y = ad.conv2d(x, w, padding=self.padding)
-        return ad.add(y, ad.broadcast_to(ad.reshape(env[self.bias.name], (1, y.shape[1], 1, 1)), y.shape))
+        return _add_channel_bias(y, env[self.bias.name])
 
     def forward_np(self, x, values, training):
         w = wn_reparam_values(values[self.v.name], values[self.gamma.name], self.name)
@@ -159,11 +155,10 @@ class BatchNorm(Layer):
     while training and tracked running statistics in eval mode. Accepts
     [N,C] or [N,C,H,W] activations."""
 
-    def __init__(self, name, c, dtype=np.float64, eps_bn=1e-5, stat_momentum=0.1):
+    def __init__(self, name, c, dtype=np.float64, eps_bn=1e-5):
         self.name = name
         self.c = c
         self.eps_bn = eps_bn
-        self.stat_momentum = stat_momentum
         self.gamma = Parameter(f"{name}.gamma", np.ones(c, dtype=dtype), ad.CHANNELWISE_1D)
         self.beta = Parameter(f"{name}.beta", np.zeros(c, dtype=dtype), ad.CHANNELWISE_1D)
         self.running_mean = np.zeros(c, dtype=dtype)
@@ -194,8 +189,8 @@ class BatchNorm(Layer):
             d = ad.sub(x, ad.broadcast_to(ad.reshape(mu, keep), x.shape))
             var = ad.mean_axes(ad.mul(d, d), axes)
             # running stats track detached batch statistics
-            self.running_mean = (1 - self.stat_momentum) * self.running_mean + self.stat_momentum * mu.value
-            self.running_var = (1 - self.stat_momentum) * self.running_var + self.stat_momentum * var.value
+            self.running_mean = (1 - _STAT_MOMENTUM) * self.running_mean + _STAT_MOMENTUM * mu.value
+            self.running_var = (1 - _STAT_MOMENTUM) * self.running_var + _STAT_MOMENTUM * var.value
             inv = ad.recip(ad.sqrt(ad.cadd(var, self.eps_bn)))
             xhat = ad.mul(d, ad.broadcast_to(ad.reshape(inv, keep), x.shape))
         else:
@@ -233,28 +228,21 @@ class Flatten(Layer):
         return x.reshape(x.shape[0], -1)
 
 
-def bn_forward(layer: BatchNorm, x: np.ndarray, training: bool,
-               values: dict[str, np.ndarray] | None = None) -> np.ndarray:
-    """Array-path batch norm; never mutates running statistics, so oracle
-    loops may call it freely."""
-    if values is None:
-        values = {layer.gamma.name: layer.gamma.value, layer.beta.name: layer.beta.value}
-    return layer.forward_np(x, values, training)
-
-
-def wn_reparam_values(v: np.ndarray, gamma: np.ndarray, name: str = "wn") -> np.ndarray:
+def _direction_norms(v: np.ndarray, name: str) -> np.ndarray:
+    """Per-output-channel norms |V_i|; a norm below NORM_FLOOR is rejected."""
     norms = np.sqrt(np.sum(v * v, axis=tuple(range(1, v.ndim))))
     if np.min(norms) < NORM_FLOOR:
         raise DegenerateNormError(
             f"{name}: direction norm {np.min(norms):.3e} below floor {NORM_FLOOR:.0e}"
         )
+    return norms
+
+
+def wn_reparam_values(v: np.ndarray, gamma: np.ndarray, name: str = "wn") -> np.ndarray:
+    """Effective kernel W_i = gamma_i V_i/|V_i|."""
+    norms = _direction_norms(v, name)
     shape = (v.shape[0],) + (1,) * (v.ndim - 1)
     return (gamma / norms).reshape(shape) * v
-
-
-def wn_reparam(layer: WNConv) -> np.ndarray:
-    """Effective kernel W_i = gamma_i V_i/|V_i| from current values."""
-    return wn_reparam_values(layer.v.value, layer.gamma.value, layer.name)
 
 
 # ---------------------------------------------------------------------------

@@ -97,12 +97,6 @@ def _mix(old: np.ndarray, new: np.ndarray, weight_new: float, convention: str) -
     return weight_new * old + (1.0 - weight_new) * new
 
 
-def update_hessian_momentum(ps: ParamState, h_tilde: np.ndarray, alpha: float,
-                            convention: str = "new-term") -> np.ndarray:
-    ps.m_h = _mix(ps.m_h, h_tilde, alpha, convention)
-    return ps.m_h
-
-
 def update_grad_momentum(ps: ParamState, g: np.ndarray, beta_m: float,
                          convention: str = "new-term") -> np.ndarray:
     ps.m_g = _mix(ps.m_g, g, beta_m, convention)
@@ -110,8 +104,9 @@ def update_grad_momentum(ps: ParamState, g: np.ndarray, beta_m: float,
 
 
 def direction_1d(ps: ParamState, g: np.ndarray, h: np.ndarray, cfg: SgdPhConfig) -> np.ndarray:
-    h_tilde = rectify(h, cfg.eps)
-    m_h = update_hessian_momentum(ps, h_tilde, cfg.alpha, cfg.momentum_convention)
+    """Updates both momenta of ps and returns the damped Newton direction; a
+    failing Hessian momentum raises before either slot is written."""
+    m_h = _mix(ps.m_h, rectify(h, cfg.eps), cfg.alpha, cfg.momentum_convention)
     # written so that NaN fails it: every comparison with NaN is False
     bad = ~(np.isfinite(m_h) & (m_h > 0))
     if bad.any():
@@ -121,6 +116,7 @@ def direction_1d(ps: ParamState, g: np.ndarray, h: np.ndarray, cfg: SgdPhConfig)
             f"channels (channel {i}: {m_h[i]:.3e}); "
             "non-finite curvature, or eps = 0 with zero curvature?"
         )
+    ps.m_h = m_h
     m_g = update_grad_momentum(ps, g, cfg.beta_m, cfg.momentum_convention)
     return cfg.tau_so * m_g / m_h
 
@@ -135,29 +131,42 @@ def _params_of(model_or_params):
     return list(model_or_params)
 
 
+def _check_finite(a: np.ndarray, what: str) -> None:
+    bad = ~np.isfinite(a)
+    if bad.any():
+        raise InvariantViolation(f"{what} not finite in {int(bad.sum())} of {bad.size} entries")
+
+
 def _step(params, grads: dict, hdiags: dict | None, cfg: SgdPhConfig,
           state: OptState) -> None:
     """Updates every parameter or none. The first phase computes each
     parameter's momenta and new value on a shallow copy of its slot (the
     momentum updates rebind arrays, never write into them) and raises
-    before anything is committed; the second commits them all. hdiags=None
-    treats every parameter as dense."""
+    before anything is committed: on a missing gradient or curvature, a
+    non-finite gradient or new value, or a failing Hessian momentum. The
+    second phase commits them all. hdiags=None treats every parameter as
+    dense."""
     staged = []
     for p in _params_of(params):
         if p.name not in grads:
             raise MissingUpdateError(f"no gradient supplied for parameter {p.name!r}")
+        one_d = hdiags is not None and p.kind == ad.CHANNELWISE_1D
+        if one_d and p.name not in hdiags:
+            raise MissingUpdateError(f"no curvature supplied for 1-D parameter {p.name!r}")
+        g = grads[p.name]
         new = replace(state[p.name])
-        if hdiags is not None and p.kind == ad.CHANNELWISE_1D:
-            if p.name not in hdiags:
-                raise MissingUpdateError(f"no curvature supplied for 1-D parameter {p.name!r}")
-            try:
-                d = direction_1d(new, grads[p.name], hdiags[p.name], cfg)
-            except InvariantViolation as e:
-                raise InvariantViolation(f"parameter {p.name!r}: {e}") from None
-        else:
-            d = direction_dense(new, grads[p.name], cfg)
-        # decoupled decay: w -= tau * (d + eta * w)
-        staged.append((p, new, p.value - cfg.tau * (d + cfg.eta * p.value)))
+        try:
+            _check_finite(g, "gradient")
+            if one_d:
+                d = direction_1d(new, g, hdiags[p.name], cfg)
+            else:
+                d = direction_dense(new, g, cfg)
+            # decoupled decay: w -= tau * (d + eta * w)
+            value = p.value - cfg.tau * (d + cfg.eta * p.value)
+            _check_finite(value, "new value")
+        except InvariantViolation as e:
+            raise InvariantViolation(f"parameter {p.name!r}: {e}") from None
+        staged.append((p, new, value))
     for p, new, value in staged:
         ps = state[p.name]
         ps.m_g, ps.m_h = new.m_g, new.m_h
@@ -179,9 +188,8 @@ def sgdm_step(model, grads: dict, cfg: SgdPhConfig, state: OptState) -> None:
 
 
 def decayed_tau(base_tau: float, epoch: int, decay_every: int, decay_factor: float) -> float:
-    """Step-decay schedule; decay_every <= 0 disables decay. Only tau is
-    scheduled; tau_so stays constant and the effective second-order step
-    still shrinks because tau multiplies the whole direction."""
-    if decay_every <= 0:
-        return base_tau
+    """Step-decay schedule: tau shrinks by decay_factor every decay_every
+    (>= 1) epochs. Only tau is scheduled; tau_so stays constant and the
+    effective second-order step still shrinks because tau multiplies the
+    whole direction."""
     return base_tau * decay_factor ** (epoch // decay_every)

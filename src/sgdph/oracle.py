@@ -29,14 +29,13 @@ class NonFiniteLossError(ValueError):
 
 @dataclass
 class FdSpec:
+    """Step of the central differences every oracle here takes."""
+
     h: float = 1e-4
-    scheme: str = "central"
 
     def __post_init__(self):
         if not self.h > 0:
             raise ValueError(f"finite-difference step must be positive, got {self.h}")
-        if self.scheme != "central":
-            raise ValueError(f"only the central scheme is implemented, got {self.scheme!r}")
 
 
 def max_rel_err(a: np.ndarray, b: np.ndarray) -> float:

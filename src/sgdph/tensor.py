@@ -45,11 +45,6 @@ class Rng:
         return self._gen.permutation(n)
 
 
-def check_tensor(a: np.ndarray, what: str = "tensor") -> None:
-    if a.size == 0:
-        raise ShapeMismatchError(f"{what} has a zero extent: shape {a.shape}")
-
-
 def broadcast_shape(s1: tuple, s2: tuple) -> tuple:
     """Broadcast rule: align trailing axes; mismatched extents only legal
     when one of them is 1."""
@@ -68,47 +63,27 @@ def broadcast_shape(s1: tuple, s2: tuple) -> tuple:
 
 _UNARY = {
     "sqrt": np.sqrt,
-    "abs": np.abs,
     "recip": lambda a: 1.0 / a,
     "relu": lambda a: np.maximum(a, 0),
     "exp": np.exp,
     "log": np.log,
 }
 
-_BINARY = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-    "div": np.divide,
-}
 
-
-def elementwise(op: str, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Apply an elementwise kernel with explicit shape/domain validation."""
+def elementwise(op: str, a: np.ndarray) -> np.ndarray:
+    """Apply a unary kernel with explicit shape/domain validation."""
     a = np.asarray(a)
-    check_tensor(a)
-    if op in _BINARY:
-        if b is None:
-            raise TypeError(f"elementwise '{op}' needs two operands")
-        b = np.asarray(b)
-        check_tensor(b, "second operand")
-        if a.dtype != b.dtype:
-            raise TypeError(f"dtype mismatch: {a.dtype} vs {b.dtype}")
-        broadcast_shape(a.shape, b.shape)
-        if op == "div" and np.any(b == 0):
-            raise DomainError("division by zero")
-        return _BINARY[op](a, b)
-    if op in _UNARY:
-        if b is not None:
-            raise TypeError(f"elementwise '{op}' takes one operand")
-        if op == "sqrt" and np.any(a < 0):
-            raise DomainError("sqrt of negative value")
-        if op == "log" and np.any(a <= 0):
-            raise DomainError("log of non-positive value")
-        if op == "recip" and np.any(a == 0):
-            raise DomainError("reciprocal of zero")
-        return _UNARY[op](a)
-    raise ValueError(f"unknown elementwise op '{op}'")
+    if a.size == 0:
+        raise ShapeMismatchError(f"tensor has a zero extent: shape {a.shape}")
+    if op not in _UNARY:
+        raise ValueError(f"unknown elementwise op '{op}'")
+    if op == "sqrt" and np.any(a < 0):
+        raise DomainError("sqrt of negative value")
+    if op == "log" and np.any(a <= 0):
+        raise DomainError("log of non-positive value")
+    if op == "recip" and np.any(a == 0):
+        raise DomainError("reciprocal of zero")
+    return _UNARY[op](a)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -180,7 +180,7 @@ def test_criterion_07_weight_norm_reproduces_plain_convolution():
     y_wn = nn.Model("b", [wn]).forward_np(x, training=True)
     out_err = oracle.max_rel_err(y_wn, y_plain)
 
-    w_eff = nn.wn_reparam(wn)
+    w_eff = nn.wn_reparam_values(wn.v.value, wn.gamma.value)
     norms = np.sqrt(np.sum(w_eff * w_eff, axis=(1, 2, 3)))
     ulps = float(np.max(np.abs(norms - np.abs(wn.gamma.value)) /
                         np.spacing(np.abs(wn.gamma.value))))

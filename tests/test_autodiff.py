@@ -41,6 +41,16 @@ def hdiag_of(build, x0):
     return ad.hessian_diag_1d(loss, leaf)
 
 
+ELEMENTWISE_CHAINS = [
+    ("exp", lambda p: ad.sum_all(ad.exp(p))),
+    ("log", lambda p: ad.sum_all(ad.log(ad.cadd(ad.mul(p, p), 1.0)))),
+    ("sqrt", lambda p: ad.sum_all(ad.sqrt(ad.cadd(ad.mul(p, p), 1.0)))),
+    ("recip", lambda p: ad.sum_all(ad.recip(ad.cadd(ad.mul(p, p), 2.0)))),
+    ("mul-recip", lambda p: ad.sum_all(ad.mul(p, ad.recip(ad.cadd(ad.mul(p, p), 2.0))))),
+    ("neg-sub", lambda p: ad.sum_all(ad.sub(ad.neg(p), ad.mul(p, p)))),
+]
+
+
 class TestFirstOrder:
     def test_square_hand_value(self):
         g = grad_of(lambda p: ad.sum_all(ad.mul(p, p)), [3.0])
@@ -49,10 +59,6 @@ class TestFirstOrder:
     def test_relu_kink_mask(self):
         g = grad_of(lambda p: ad.sum_all(ad.relu(p)), [-1.0, 2.0])
         np.testing.assert_array_equal(g, [0.0, 1.0])
-
-    def test_abs_sign(self):
-        g = grad_of(lambda p: ad.sum_all(ad.abs_(p)), [-3.0, 0.0, 2.0])
-        np.testing.assert_array_equal(g, [-1.0, 0.0, 1.0])
 
     def test_leaf_used_twice_accumulates(self):
         g = grad_of(lambda p: ad.add(ad.sum_all(ad.mul(p, p)), ad.sum_all(p)), [1.0, 4.0])
@@ -69,30 +75,10 @@ class TestFirstOrder:
         grads = ad.backward(ad.sum_all(ad.mul(a, a)))
         np.testing.assert_array_equal(grads[b.id], [0.0])
 
-    def test_operator_overloads(self):
-        def build(p):
-            return ad.sum_all(p * 2.0 + 1.0 - p / 2.0)
-
-        x0 = np.array([1.0, -2.0, 0.5])
-        g = grad_of(build, x0)
-        np.testing.assert_allclose(g, np.full(3, 1.5), rtol=0, atol=0)
-
-    def test_scalar_folding_matches_constants(self):
-        x0 = np.array([2.0, 3.0])
-        g1 = grad_of(lambda p: ad.sum_all(3.0 * p), x0)
-        g2 = grad_of(lambda p: ad.sum_all(ad.cmul(p, 3.0)), x0)
-        np.testing.assert_array_equal(g1, g2)
-
-    @pytest.mark.parametrize("name,build", [
-        ("exp", lambda p: ad.sum_all(ad.exp(p))),
-        ("log", lambda p: ad.sum_all(ad.log(ad.cadd(ad.mul(p, p), 1.0)))),
-        ("sqrt", lambda p: ad.sum_all(ad.sqrt(ad.cadd(ad.mul(p, p), 1.0)))),
-        ("recip", lambda p: ad.sum_all(ad.recip(ad.cadd(ad.mul(p, p), 2.0)))),
-        ("div", lambda p: ad.sum_all(ad.div(p, ad.cadd(ad.mul(p, p), 2.0)))),
-        ("neg-sub", lambda p: ad.sum_all(ad.sub(ad.neg(p), ad.mul(p, p)))),
-    ])
+    @pytest.mark.parametrize("name,build", ELEMENTWISE_CHAINS)
     def test_elementwise_chain_vs_fd(self, name, build):
-        x0 = Rng(hash(name) & 0xFFFF).normal((6,))
+        # seeded by the case's position: str hashes are salted per process
+        x0 = Rng([n for n, _ in ELEMENTWISE_CHAINS].index(name)).normal((6,))
 
         def f(x):
             graph = ad.Graph()
@@ -197,12 +183,6 @@ class TestSecondSweep:
 
         np.testing.assert_array_equal(hdiag_of(build, [-1.0, 2.0]), [0.0, 1.0])
 
-    def test_abs_second_derivative_zero(self):
-        def build(p):
-            return ad.sum_all(ad.abs_(p))
-
-        np.testing.assert_array_equal(hdiag_of(build, [-2.0, 3.0]), [0.0, 0.0])
-
     def test_exp_curvature(self):
         x0 = np.array([0.2, -0.4, 1.1])
         h = hdiag_of(lambda p: ad.sum_all(ad.exp(p)), x0)
@@ -243,9 +223,9 @@ class TestSecondSweep:
                               kind=ad.CHANNELWISE_1D)
         loss = ad.sum_all(ad.mul(leaf, leaf))
         ad.backward(loss, retain_differentiable=True)
-        before = len(graph)
+        before = len(graph.nodes)
         ad.hessian_diag_1d(loss, leaf)
-        assert len(graph) == before
+        assert len(graph.nodes) == before
 
     def test_parameter_absent_from_loss_gives_zeros(self):
         graph = ad.Graph()
@@ -269,9 +249,9 @@ def small_cnn_tape(model_name):
     h = graph.constant(x)
     starts = []
     for layer in model.layers:
-        starts.append(len(graph))
+        starts.append(len(graph.nodes))
         h = layer.forward_v(h, env, training=True)
-    starts.append(len(graph))
+    starts.append(len(graph.nodes))
     loss = nn.softmax_cross_entropy(h, np.array([0, 1, 2, 0]))
     ad.backward(loss, retain_differentiable=True)
     return model, graph, env, loss, starts

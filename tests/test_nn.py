@@ -15,6 +15,12 @@ def run_v(model, x, training):
     return model.forward_v(graph.constant(x), env, training).value
 
 
+def bn_np(bn, x):
+    """The array path in training mode, at the layer's own scale and shift."""
+    values = {bn.gamma.name: bn.gamma.value, bn.beta.name: bn.beta.value}
+    return bn.forward_np(x, values, training=True)
+
+
 class TestBatchNorm:
     def test_normalization_hand_values(self):
         bn = nn.BatchNorm("bn", 1, eps_bn=0.0)
@@ -34,14 +40,14 @@ class TestBatchNorm:
     def test_training_output_is_standardized(self):
         bn = nn.BatchNorm("bn", 4)
         x = Rng(0).normal((50, 4)) * 3.0 + 1.0
-        y = nn.bn_forward(bn, x, training=True)
+        y = bn_np(bn, x)
         np.testing.assert_allclose(y.mean(axis=0), np.zeros(4), rtol=0, atol=1e-12)
         np.testing.assert_allclose(y.var(axis=0), np.ones(4), rtol=1e-4, atol=0)
 
     def test_4d_statistics_per_channel(self):
         bn = nn.BatchNorm("bn", 3)
         x = Rng(1).normal((4, 3, 5, 5)) * 2.0 - 1.0
-        y = nn.bn_forward(bn, x, training=True)
+        y = bn_np(bn, x)
         np.testing.assert_allclose(y.mean(axis=(0, 2, 3)), np.zeros(3), rtol=0, atol=1e-12)
 
     def test_paths_agree_training(self):
@@ -57,7 +63,7 @@ class TestBatchNorm:
         model = nn.Model("m", [bn])
         x = Rng(3).normal((20, 2)) + 5.0
 
-        nn.bn_forward(bn, x, training=True)
+        bn_np(bn, x)
         np.testing.assert_array_equal(bn.running_mean, np.zeros(2))
         np.testing.assert_array_equal(bn.running_var, np.ones(2))
 
@@ -82,12 +88,12 @@ class TestBatchNorm:
     def test_rejects_3d_input(self):
         bn = nn.BatchNorm("bn", 2)
         with pytest.raises(ShapeMismatchError):
-            nn.bn_forward(bn, np.zeros((2, 2, 2)), training=True)
+            bn_np(bn, np.zeros((2, 2, 2)))
 
     def test_rejects_channel_mismatch(self):
         bn = nn.BatchNorm("bn", 3)
         with pytest.raises(ShapeMismatchError):
-            nn.bn_forward(bn, np.zeros((4, 5)), training=True)
+            bn_np(bn, np.zeros((4, 5)))
 
 
 class TestWeightNorm:
@@ -115,7 +121,8 @@ class TestWeightNorm:
         layer = nn.WNConv("c", 2, 3, 3, Rng(7))
         norms = np.sqrt(np.sum(layer.v.value ** 2, axis=(1, 2, 3)))
         np.testing.assert_allclose(layer.gamma.value, norms, rtol=1e-14, atol=0)
-        np.testing.assert_allclose(nn.wn_reparam(layer), layer.v.value, rtol=1e-12, atol=1e-14)
+        w = nn.wn_reparam_values(layer.v.value, layer.gamma.value)
+        np.testing.assert_allclose(w, layer.v.value, rtol=1e-12, atol=1e-14)
 
     def test_zero_direction_rejected(self):
         v = np.zeros((2, 1, 3, 3))
@@ -283,7 +290,7 @@ class TestProperties:
     def test_bn_training_standardizes(self, n, c, seed):
         bn = nn.BatchNorm("bn", c)
         x = Rng(seed).normal((n, c)) * 4.0 + 2.0
-        y = nn.bn_forward(bn, x, training=True)
+        y = bn_np(bn, x)
         assert np.max(np.abs(y.mean(axis=0))) < 1e-10
         # population variance of the output is var/(var + eps) <= 1
         assert np.max(y.var(axis=0)) <= 1.0 + 1e-12

@@ -26,10 +26,6 @@ class TestFdSpec:
         with pytest.raises(ValueError):
             oracle.FdSpec(h=0.0)
 
-    def test_rejects_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            oracle.FdSpec(scheme="forward")
-
 
 class TestFdGradient:
     def test_quadratic(self):

@@ -119,6 +119,26 @@ class TestTrainLoop:
         records = read_records(cfg.out_metrics)
         assert [(r["epoch"], r["step"], r["split"]) for r in records] == [(0, 0, "train")]
 
+    def test_non_finite_gradient_names_epoch_and_step(self, tmp_path, monkeypatch):
+        real = ad.backward
+        calls = itertools.count()
+
+        def nan_from_step_1(loss, **kwargs):
+            grads = real(loss, **kwargs)
+            if next(calls) >= 1:
+                # id 0 is the first leaf bound on a fresh tape: fc1.weight
+                grads[0] = np.full_like(grads[0], np.nan)
+            return grads
+
+        monkeypatch.setattr(ad, "backward", nan_from_step_1)
+        cfg = small_cfg(tmp_path, "nan-g", optimizer="sgdph", epochs=1)
+        with pytest.raises(tr.TrainAbortError,
+                           match=r"^epoch 0 step 1: parameter 'fc1.weight': "
+                                 r"gradient not finite"):
+            tr.train(cfg)
+        records = read_records(cfg.out_metrics)
+        assert [(r["epoch"], r["step"], r["split"]) for r in records] == [(0, 0, "train")]
+
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="the heap policy is set through glibc's mallopt")
