@@ -255,6 +255,8 @@ def relu(a: Variable) -> Variable:
 
 
 def matmul(a: Variable, b: Variable) -> Variable:
+    """Product over the last two axes; leading axes are batch axes and must
+    be equal (tensor.matmul)."""
     value = _matmul_np(a.value, b.value)
 
     def vjp(g, want):
@@ -267,22 +269,14 @@ def matmul(a: Variable, b: Variable) -> Variable:
 
 
 def transpose(a: Variable) -> Variable:
-    if a.value.ndim != 2:
-        raise ShapeMismatchError(f"transpose needs a 2-D value, got {a.shape}")
+    """Swaps the last two axes."""
+    if a.value.ndim < 2:
+        raise ShapeMismatchError(f"transpose needs a value of rank >= 2, got {a.shape}")
 
     def vjp(g, want):
         return [transpose(g)]
 
-    return _op(a.graph, a.value.T, (a,), vjp, "transpose")
-
-
-def permute(a: Variable, axes: tuple) -> Variable:
-    inv = tuple(int(i) for i in np.argsort(axes))
-
-    def vjp(g, want):
-        return [permute(g, inv)]
-
-    return _op(a.graph, np.transpose(a.value, axes), (a,), vjp, "permute")
+    return _op(a.graph, a.value.swapaxes(-1, -2), (a,), vjp, "transpose")
 
 
 def reshape(a: Variable, shape: tuple) -> Variable:
@@ -356,8 +350,11 @@ def fold(cols: Variable, x_shape: tuple, kh: int, kw: int, pads: tuple) -> Varia
 
 
 def conv2d(x: Variable, w: Variable, padding: str = "valid") -> Variable:
-    """Stride-1 cross-correlation as unfold + matmul, so both backward
-    passes reduce to the linear-op adjoint pairs above."""
+    """Stride-1 cross-correlation as per-sample unfold + one batched matmul,
+    so both backward passes reduce to the linear-op adjoint pairs above.
+    The kernel matrix enters as a broadcast view over the batch, whose
+    adjoint sums the per-sample kernel gradients; the result is a
+    C-contiguous [N,Cout,OH,OW]."""
     if x.value.ndim != 4 or w.value.ndim != 4:
         raise ShapeMismatchError(f"conv2d needs 4-D input/kernel, got {x.shape}, {w.shape}")
     if x.shape[1] != w.shape[1]:
@@ -368,9 +365,9 @@ def conv2d(x: Variable, w: Variable, padding: str = "valid") -> Variable:
     oh = h + pads[0] + pads[1] - kh + 1
     ow = wd + pads[2] + pads[3] - kw + 1
     cols = unfold(x, kh, kw, pads)
-    wmat = reshape(w, (cout, cin * kh * kw))
-    out = matmul(cols, transpose(wmat))
-    return permute(reshape(out, (n, oh, ow, cout)), (0, 3, 1, 2))
+    k = cin * kh * kw
+    wmat = broadcast_to(reshape(w, (1, cout, k)), (n, cout, k))
+    return reshape(matmul(wmat, cols), (n, cout, oh, ow))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Dense tensor kernels shared by the tape, the layers, and the oracles.
 
 Tensors are plain numpy arrays in NCHW row-major layout, f32 for training
-runs and f64 for every oracle comparison. All kernels here are pure: no
-input is ever mutated.
+runs and f64 for every oracle comparison. A convolution is lowered per
+sample: unfold2d turns [N,C,H,W] into patch matrices [N, C*kh*kw, OH*OW]
+and one batched matmul with the [Cout, C*kh*kw] kernel gives
+[N, Cout, OH*OW], which is already NCHW, so no activation is a strided view.
+All kernels here are pure: no input is ever mutated.
 """
 
 from __future__ import annotations
@@ -87,13 +90,16 @@ def elementwise(op: str, a: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product over the last two axes of equal-rank operands whose
+    leading (batch) axes are equal."""
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
+    if a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
         raise ShapeMismatchError(
-            f"matmul needs 2-D operands, got {a.shape} and {b.shape}"
+            f"matmul needs equal-rank operands of rank >= 2 with equal leading "
+            f"axes, got {a.shape} and {b.shape}"
         )
-    if a.shape[1] != b.shape[0]:
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeMismatchError(
             f"matmul inner extents differ: {a.shape} x {b.shape}"
         )
@@ -127,39 +133,51 @@ def same_padding(kh: int, kw: int) -> tuple[int, int, int, int]:
     return top, kh - 1 - top, left, kw - 1 - left
 
 
-def unfold2d(x: np.ndarray, kh: int, kw: int, pads: tuple) -> np.ndarray:
-    """im2col: [N,C,H,W] -> [N*OH*OW, C*kh*kw] patch matrix, stride 1.
-
-    Row r = n*OH*OW + oh*OW + ow holds the receptive field of output pixel
-    (oh, ow) of sample n, channels varying slowest.
-    """
+def _taps(kh: int, kw: int, pads: tuple, h: int, w: int):
+    """Per kernel tap (u, v) of a stride-1 convolution over an unpadded
+    [..,H,W] input: the row and column slices of the input window and of
+    the output window it reads into. Output pixel (i, j) reads input pixel
+    (i + u - top, j + v - left); the windows keep only the pixels that fall
+    inside the input, so the padding is never materialised."""
     pt, pb, pl, pr = pads
-    if pt or pb or pl or pr:
-        x = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
+    oh, ow = h + pt + pb - kh + 1, w + pl + pr - kw + 1
+    for u in range(kh):
+        i0, i1 = max(0, pt - u), min(oh, h + pt - u)
+        for v in range(kw):
+            j0, j1 = max(0, pl - v), min(ow, w + pl - v)
+            yield (u, v, slice(i0 + u - pt, i1 + u - pt), slice(j0 + v - pl, j1 + v - pl),
+                   slice(i0, i1), slice(j0, j1))
+
+
+def unfold2d(x: np.ndarray, kh: int, kw: int, pads: tuple) -> np.ndarray:
+    """Per-sample im2col: [N,C,H,W] -> [N, C*kh*kw, OH*OW], stride 1.
+
+    Column p = oh*OW + ow of sample n holds the receptive field of output
+    pixel (oh, ow), row c*kh*kw + u*kw + v its tap (c, u, v); taps that fall
+    in the zero padding read 0. Built by one slab copy per tap, each running
+    along OW.
+    """
     n, c, h, w = x.shape
-    if kh > h or kw > w:
-        raise ShapeMismatchError(
-            f"kernel {kh}x{kw} larger than padded input {h}x{w}"
-        )
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    # [N,C,OH,OW,kh,kw] -> [N,OH,OW,C,kh,kw] -> rows
-    win = win.transpose(0, 2, 3, 1, 4, 5)
-    oh, ow = win.shape[1], win.shape[2]
-    return win.reshape(n * oh * ow, c * kh * kw)
+    pt, pb, pl, pr = pads
+    oh, ow = h + pt + pb - kh + 1, w + pl + pr - kw + 1
+    cols = np.zeros((n, c, kh, kw, oh, ow), dtype=x.dtype)
+    for u, v, si, sj, oi, oj in _taps(kh, kw, pads, h, w):
+        cols[:, :, u, v, oi, oj] = x[:, :, si, sj]
+    return cols.reshape(n, c * kh * kw, oh * ow)
 
 
 def fold2d(cols: np.ndarray, x_shape: tuple, kh: int, kw: int, pads: tuple) -> np.ndarray:
-    """Adjoint of unfold2d: scatter-add patch rows back onto [N,C,H,W]."""
+    """Adjoint of unfold2d: scatter-add [N, C*kh*kw, OH*OW] patch columns
+    back onto a C-contiguous [N,C,H,W], one tap at a time in (u, v) order.
+    Contributions that unfold2d read from the padding are dropped."""
     n, c, h, w = x_shape
     pt, pb, pl, pr = pads
-    hp, wp = h + pt + pb, w + pl + pr
-    oh, ow = hp - kh + 1, wp - kw + 1
-    patches = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-    out = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            out[:, :, u : u + oh, v : v + ow] += patches[:, :, :, :, u, v]
-    return out[:, :, pt : pt + h, pl : pl + w]
+    oh, ow = h + pt + pb - kh + 1, w + pl + pr - kw + 1
+    patches = cols.reshape(n, c, kh, kw, oh, ow)
+    out = np.zeros(x_shape, dtype=cols.dtype)
+    for u, v, si, sj, oi, oj in _taps(kh, kw, pads, h, w):
+        out[:, :, si, sj] += patches[:, :, u, v, oi, oj]
+    return out
 
 
 def conv_pads(h: int, w: int, kh: int, kw: int, padding: str) -> tuple:
@@ -177,7 +195,9 @@ def conv_pads(h: int, w: int, kh: int, kw: int, padding: str) -> tuple:
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, padding: str = "valid") -> np.ndarray:
-    """Stride-1 cross-correlation of [N,Cin,H,W] with [Cout,Cin,kh,kw]."""
+    """Stride-1 cross-correlation of [N,Cin,H,W] with [Cout,Cin,kh,kw]:
+    W[Cout, Cin*kh*kw] @ unfold2d(x) per sample, a C-contiguous
+    [N,Cout,OH,OW]."""
     x = np.asarray(x)
     w = np.asarray(w)
     if x.ndim != 4 or w.ndim != 4:
@@ -191,6 +211,5 @@ def conv2d(x: np.ndarray, w: np.ndarray, padding: str = "valid") -> np.ndarray:
     pads = conv_pads(h, wd, kh, kw, padding)
     oh = h + pads[0] + pads[1] - kh + 1
     ow = wd + pads[2] + pads[3] - kw + 1
-    cols = unfold2d(x, kh, kw, pads)
-    out = cols @ w.reshape(cout, cin * kh * kw).T
-    return out.reshape(n, oh, ow, cout).transpose(0, 3, 1, 2)
+    out = np.matmul(w.reshape(cout, cin * kh * kw), unfold2d(x, kh, kw, pads))
+    return out.reshape(n, cout, oh, ow)

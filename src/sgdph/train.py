@@ -57,12 +57,12 @@ def _keep_freed_memory() -> None:
     policy still trims the heap after each release, so both thresholds
     are set (setting either one also turns the dynamic policy off): the
     mmap threshold to 32 MiB, the 64-bit maximum that mallopt(3)
-    documents and above the largest f32 tape array (the 22.6 MB conv1
-    unfold), and the trim threshold to never. A repeated step then
-    faults almost no pages. The cost is that the process keeps its heap
-    high-water mark (about 540 MiB after a cnn-bn run) after train()
-    returns; a malloc_trim there would only re-fault it on the first
-    step of the next train().
+    documents and above the largest f32 tape array (the 22.6 MB unfold of
+    conv2's 8-channel input; conv1's is 2.8 MB), and the trim threshold to
+    never. A repeated step then faults almost no pages. The cost is that
+    the process keeps its heap high-water mark (about 505 MiB after a
+    cnn-bn run) after train() returns; a malloc_trim there would only
+    re-fault it on the first step of the next train().
     No-op off glibc."""
     import ctypes
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sgdph import autodiff as ad
 from sgdph import nn
-from sgdph.tensor import Rng, ShapeMismatchError
+from sgdph.tensor import Rng, ShapeMismatchError, conv2d as conv2d_np
 
 
 def run_v(model, x, training):
@@ -160,6 +160,20 @@ class TestLinearConv:
         x = Rng(3).normal((2, 2, 6, 6))
         np.testing.assert_allclose(run_v(model, x, True), model.forward_np(x, training=True),
                                    rtol=1e-12, atol=1e-12)
+
+    def test_conv_bn_relu_activations_are_c_contiguous(self):
+        # NCHW in memory, not a permuted view, on both paths: batch norm's
+        # reductions over (0, 2, 3) and every elementwise op see one layout
+        x = Rng(5).normal((3, 2, 6, 5)).astype(np.float32)
+        w = Rng(6).normal((4, 2, 3, 3)).astype(np.float32)
+        assert conv2d_np(x, w, padding="same").flags.c_contiguous
+        graph = ad.Graph()
+        y = ad.conv2d(graph.constant(x), graph.variable(w, requires_grad=True), padding="same")
+        assert y.value.flags.c_contiguous
+        model = nn.Model("m", [nn.Conv2d("c", 2, 4, 3, Rng(7), np.float32),
+                               nn.BatchNorm("bn", 4, np.float32), nn.ReLU()])
+        assert run_v(model, x, True).flags.c_contiguous
+        assert model.forward_np(x, training=True).flags.c_contiguous
 
     def test_default_bias_kind_is_channelwise(self):
         layer = nn.Conv2d("c", 1, 2, 3, Rng(4))

@@ -106,6 +106,18 @@ class TestMatmul:
         with pytest.raises(ShapeMismatchError):
             matmul(np.zeros(3), np.zeros((3, 2)))
 
+    def test_batched_is_per_sample_product(self):
+        rng = Rng(12)
+        a = rng.normal((3, 2, 4))
+        b = rng.normal((3, 4, 5))
+        out = matmul(a, b)
+        for i in range(3):
+            np.testing.assert_allclose(out[i], matmul_loops(a[i], b[i]), rtol=0, atol=1e-14)
+        with pytest.raises(ShapeMismatchError, match="leading"):
+            matmul(a, rng.normal((2, 4, 5)))
+        with pytest.raises(ShapeMismatchError, match="leading"):
+            matmul(a, rng.normal((4, 5)))
+
 
 class TestMoments:
     def test_hand_values(self):
@@ -192,12 +204,26 @@ class TestConv2d:
 
 
 class TestUnfoldFold:
-    def test_unfold_row_is_receptive_field(self):
+    def test_unfold_column_is_receptive_field(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
         cols = unfold2d(x, 2, 2, (0, 0, 0, 0))
-        assert cols.shape == (9, 4)
-        np.testing.assert_array_equal(cols[0], [0, 1, 4, 5])
-        np.testing.assert_array_equal(cols[4], [5, 6, 9, 10])
+        assert cols.shape == (1, 4, 9)
+        np.testing.assert_array_equal(cols[0, :, 0], [0, 1, 4, 5])
+        np.testing.assert_array_equal(cols[0, :, 4], [5, 6, 9, 10])
+        # column p = oh*OW + ow of sample n is the (c, u, v)-ordered window
+        # of the zero-padded input at output pixel (oh, ow), value for value
+        x = Rng(4).normal((2, 3, 5, 4))
+        pads = (1, 0, 2, 1)
+        cols = unfold2d(x, 3, 2, pads)
+        xp = np.pad(x, ((0, 0), (0, 0), pads[:2], pads[2:]))
+        oh, ow = 5 + 1 - 3 + 1, 4 + 3 - 2 + 1
+        assert cols.shape == (2, 3 * 3 * 2, oh * ow)
+        for n in range(2):
+            for i in range(oh):
+                for j in range(ow):
+                    np.testing.assert_array_equal(
+                        cols[n, :, i * ow + j], xp[n, :, i : i + 3, j : j + 2].ravel()
+                    )
 
     def test_fold_is_adjoint_of_unfold(self):
         # <unfold(x), c> == <x, fold(c)> for random c: the defining adjoint pair
