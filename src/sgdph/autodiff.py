@@ -355,15 +355,9 @@ def conv2d(x: Variable, w: Variable, padding: str = "valid") -> Variable:
     The kernel matrix enters as a broadcast view over the batch, whose
     adjoint sums the per-sample kernel gradients; the result is a
     C-contiguous [N,Cout,OH,OW]."""
-    if x.value.ndim != 4 or w.value.ndim != 4:
-        raise ShapeMismatchError(f"conv2d needs 4-D input/kernel, got {x.shape}, {w.shape}")
-    if x.shape[1] != w.shape[1]:
-        raise ShapeMismatchError(f"channel mismatch: input {x.shape[1]} vs kernel {w.shape[1]}")
-    n, _, h, wd = x.shape
+    pads, oh, ow = conv_pads(x.shape, w.shape, padding)
+    n = x.shape[0]
     cout, cin, kh, kw = w.shape
-    pads = conv_pads(h, wd, kh, kw, padding)
-    oh = h + pads[0] + pads[1] - kh + 1
-    ow = wd + pads[2] + pads[3] - kw + 1
     cols = unfold(x, kh, kw, pads)
     k = cin * kh * kw
     wmat = broadcast_to(reshape(w, (1, cout, k)), (n, cout, k))

@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import nn, oracle, train as training
-from .config import ConfigError, RunConfig, config_from_overrides, load_config
+from .config import ConfigError, load_config
 from .data import IdxFormatError
 from .tensor import Rng
 
@@ -24,7 +24,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="run one training config")
-    p_train.add_argument("--config", help="key=value config file")
+    p_train.add_argument("--config", default="", help="key=value config file")
     p_train.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                          help="override a config field (repeatable)")
 
@@ -35,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", default="", help="write the JSON report here instead of stdout")
 
     p_cmp = sub.add_parser("compare", help="train two optimizers on one setup, emit CSV")
-    p_cmp.add_argument("--config", help="config for run A")
+    p_cmp.add_argument("--config", default="", help="config for run A")
     p_cmp.add_argument("--config-b", default="", help="config for run B "
                        "(default: run A with the optimizer flipped)")
     p_cmp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -48,14 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_cfg(path: str, overrides: list[str]) -> RunConfig:
-    if path:
-        return load_config(path, overrides)
-    return config_from_overrides(overrides)
-
-
 def _cmd_train(args) -> int:
-    cfg = _load_cfg(args.config, getattr(args, "set"))
+    cfg = load_config(args.config, getattr(args, "set"))
     result = training.train(cfg)
     print(f"wrote {result.metrics_path} and {result.checkpoint_path}")
     print(f"final test accuracy: {result.final_test_accuracy:.4f}")
@@ -89,11 +83,11 @@ def _cmd_verify(args) -> int:
         return 1
     # terminal-BN blocks are exactly quadratic in gamma/beta, so a large FD
     # step is exact and beats roundoff; deep blocks use the default step
-    spec = oracle.FdSpec(h=0.25) if args.model == "bn-terminal" else oracle.FdSpec()
+    h = 0.25 if args.model == "bn-terminal" else oracle.FD_STEP
     reports = []
     passed = True
     for name in one_d:
-        rep = oracle.diagonality_report(model, x, name, spec, loss, labels)
+        rep = oracle.diagonality_report(model, x, name, h, loss, labels)
         ok = rep.extracted_vs_rowsum_relerr <= ROWSUM_TOL
         entry = dataclasses.asdict(rep)
         entry["rowsum_ok"] = ok
@@ -114,7 +108,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cfg_a = _load_cfg(args.config, getattr(args, "set"))
+    cfg_a = load_config(args.config, getattr(args, "set"))
     if args.config_b:
         cfg_b = load_config(args.config_b, getattr(args, "set"))
     else:

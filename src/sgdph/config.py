@@ -5,16 +5,17 @@ config is a valid blobs run."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
-from .optim import CONVENTIONS
+from .optim import SgdPhConfig
 
 
 class ConfigError(ValueError):
     pass
 
 
-@dataclass
+# frozen, so the checks of __post_init__ hold for the object's lifetime
+@dataclass(frozen=True)
 class RunConfig:
     model: str = "mlp-bn"
     optimizer: str = "sgdph"
@@ -29,8 +30,6 @@ class RunConfig:
     beta_m: float = 0.9
     eta: float = 0.005
     eps: float = 0.0001
-    momentum_convention: str = "new-term"
-    bias_second_order: bool = True
     # learning-rate step decay; lr_decay_every <= 0 means auto:
     # max(1, epochs * 3 // 10), the 60-of-200 ratio at desk scale
     lr_decay_factor: float = 0.1
@@ -59,14 +58,20 @@ class RunConfig:
             raise ConfigError(f"dtype must be f32 or f64, got {self.dtype!r}")
         if self.dataset_kind not in ("blobs", "idx"):
             raise ConfigError(f"dataset.kind must be blobs or idx, got {self.dataset_kind!r}")
-        if self.momentum_convention not in CONVENTIONS:
-            raise ConfigError(f"momentum_convention must be one of {CONVENTIONS}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
         if not self.eps > 0:
             raise ConfigError(f"eps must be positive in training configs, got {self.eps}")
-        if not self.tau > 0 or not self.tau_so > 0:
-            raise ConfigError("tau and tau_so must be positive")
+        try:
+            self.opt_config()
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
+
+    def opt_config(self, tau: float | None = None) -> SgdPhConfig:
+        """The optimizer hyperparameters, with tau replaced by a scheduled
+        value when one is given; SgdPhConfig checks their ranges."""
+        return SgdPhConfig(tau=self.tau if tau is None else tau, tau_so=self.tau_so,
+                           alpha=self.alpha, beta_m=self.beta_m, eta=self.eta, eps=self.eps)
 
     @property
     def decay_every(self) -> int:
@@ -123,16 +128,12 @@ def parse_kv_lines(lines, source: str = "<config>") -> dict:
 
 
 def load_config(path: str, overrides: list[str] | None = None) -> RunConfig:
-    """Reads a config file and applies --set key=value overrides on top."""
-    with open(path, "r", encoding="utf-8") as fh:
-        values = parse_kv_lines(fh, source=path)
-    for item in overrides or []:
-        values.update(parse_kv_lines([item], source=f"--set {item}"))
-    return RunConfig(**values)
-
-
-def config_from_overrides(overrides: list[str]) -> RunConfig:
+    """Reads a config file (none when path is empty) and applies --set
+    key=value overrides on top."""
     values = {}
-    for item in overrides:
+    if path:
+        with open(path, "r", encoding="utf-8") as fh:
+            values = parse_kv_lines(fh, source=path)
+    for item in overrides or []:
         values.update(parse_kv_lines([item], source=f"--set {item}"))
     return RunConfig(**values)

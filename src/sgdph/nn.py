@@ -6,13 +6,13 @@ curvature extraction, `forward_np` evaluates plain arrays so the
 finite-difference oracles never touch the adjoint machinery.
 
 Parameter tagging drives the optimizer split: batch-norm scale/shift,
-weight-norm lengths, and (by default) conv biases are "channelwise-1d"
-and receive second-order updates; weight matrices stay "dense".
+weight-norm lengths, and conv biases are "channelwise-1d" and receive
+second-order updates; weight matrices stay "dense".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,18 +85,17 @@ class Linear(Layer):
 
 
 class Conv2d(Layer):
-    """3x3-style stride-1 convolution; bias is channelwise by default so
-    the optimizer's second-order branch covers it."""
+    """3x3-style stride-1 convolution; bias is channelwise so the
+    optimizer's second-order branch covers it."""
 
-    def __init__(self, name, c_in, c_out, k, rng, dtype=np.float64, padding="same",
-                 bias_kind=ad.CHANNELWISE_1D):
+    def __init__(self, name, c_in, c_out, k, rng, dtype=np.float64, padding="same"):
         self.name = name
         self.padding = padding
         fan_in = c_in * k * k
         self.weight = Parameter(
             f"{name}.weight", _kaiming_uniform(rng, (c_out, c_in, k, k), fan_in, dtype), ad.DENSE
         )
-        self.bias = Parameter(f"{name}.bias", np.zeros(c_out, dtype=dtype), bias_kind)
+        self.bias = Parameter(f"{name}.bias", np.zeros(c_out, dtype=dtype), ad.CHANNELWISE_1D)
 
     def params(self):
         return [self.weight, self.bias]
@@ -115,8 +114,7 @@ class WNConv(Layer):
     per-channel length gamma decouples from direction V, and gamma is a 1-D
     parameter eligible for second-order updates."""
 
-    def __init__(self, name, c_in, c_out, k, rng, dtype=np.float64, padding="same",
-                 bias_kind=ad.CHANNELWISE_1D):
+    def __init__(self, name, c_in, c_out, k, rng, dtype=np.float64, padding="same"):
         self.name = name
         self.padding = padding
         fan_in = c_in * k * k
@@ -125,7 +123,7 @@ class WNConv(Layer):
         # gamma starts at |V_i| so the initial effective kernel equals v0
         gamma0 = np.sqrt(np.sum(v0.astype(np.float64) ** 2, axis=(1, 2, 3))).astype(dtype)
         self.gamma = Parameter(f"{name}.gamma", gamma0, ad.CHANNELWISE_1D)
-        self.bias = Parameter(f"{name}.bias", np.zeros(c_out, dtype=dtype), bias_kind)
+        self.bias = Parameter(f"{name}.bias", np.zeros(c_out, dtype=dtype), ad.CHANNELWISE_1D)
         _direction_norms(v0, name)
 
     def params(self):
@@ -340,10 +338,9 @@ class Model:
 
 
 def build_model(name: str, rng: Rng, *, in_shape, n_classes: int,
-                dtype=np.float64, bias_second_order: bool = True) -> Model:
+                dtype=np.float64) -> Model:
     """Model zoo. Training architectures: "mlp-bn", "cnn-bn", "cnn-wn".
     The small "*-terminal"/verification nets exist for oracle runs."""
-    bias_kind = ad.CHANNELWISE_1D if bias_second_order else ad.DENSE
     if name == "mlp-bn":
         d = int(np.prod(in_shape))
         h = 32
@@ -380,10 +377,10 @@ def build_model(name: str, rng: Rng, *, in_shape, n_classes: int,
     elif name == "cnn-bn":
         c, _, _ = in_shape
         layers = [
-            Conv2d("conv1", c, 8, 3, rng, dtype, bias_kind=bias_kind),
+            Conv2d("conv1", c, 8, 3, rng, dtype),
             BatchNorm("bn1", 8, dtype),
             ReLU(),
-            Conv2d("conv2", 8, 16, 3, rng, dtype, bias_kind=bias_kind),
+            Conv2d("conv2", 8, 16, 3, rng, dtype),
             BatchNorm("bn2", 16, dtype),
             ReLU(),
             Flatten(),
@@ -392,9 +389,9 @@ def build_model(name: str, rng: Rng, *, in_shape, n_classes: int,
     elif name == "cnn-wn":
         c, _, _ = in_shape
         layers = [
-            WNConv("conv1", c, 8, 3, rng, dtype, bias_kind=bias_kind),
+            WNConv("conv1", c, 8, 3, rng, dtype),
             ReLU(),
-            WNConv("conv2", 8, 16, 3, rng, dtype, bias_kind=bias_kind),
+            WNConv("conv2", 8, 16, 3, rng, dtype),
             ReLU(),
             Flatten(),
             Linear("fc", 16 * in_shape[1] * in_shape[2], n_classes, rng, dtype),

@@ -10,9 +10,8 @@ Per step and 1-D parameter of curvature vector h and gradient g:
     d    = tau_so * m_g / m_h             damped Newton direction
     w   -= tau * (d + eta w)              update with decoupled decay
 
-Dense parameters skip the first two lines and use d = m_g. The momentum
-recursions deliberately place the weight on the NEW term; set
-momentum_convention="classical" for the mirrored form.
+Dense parameters skip the first two lines and use d = m_g. Both momentum
+recursions place the weight on the NEW term.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-
-CONVENTIONS = ("new-term", "classical")
 
 
 class MissingUpdateError(KeyError):
@@ -42,7 +39,6 @@ class SgdPhConfig:
     beta_m: float = 0.9
     eta: float = 0.0
     eps: float = 0.0001
-    momentum_convention: str = "new-term"
 
     def __post_init__(self):
         if not self.tau > 0:
@@ -56,11 +52,9 @@ class SgdPhConfig:
         if self.eta < 0:
             raise ValueError(f"eta must be nonnegative, got {self.eta}")
         # eps = 0 is admitted here so the pure Newton scaling property is
-        # testable; training configs enforce eps > 0 at the harness level
+        # testable; RunConfig adds eps > 0 for training runs
         if self.eps < 0:
             raise ValueError(f"eps must be nonnegative, got {self.eps}")
-        if self.momentum_convention not in CONVENTIONS:
-            raise ValueError(f"momentum_convention must be one of {CONVENTIONS}")
 
 
 @dataclass
@@ -91,22 +85,19 @@ def rectify(h: np.ndarray, eps: float) -> np.ndarray:
     return np.abs(h) + eps
 
 
-def _mix(old: np.ndarray, new: np.ndarray, weight_new: float, convention: str) -> np.ndarray:
-    if convention == "new-term":
-        return (1.0 - weight_new) * old + weight_new * new
-    return weight_new * old + (1.0 - weight_new) * new
+def _mix(old: np.ndarray, new: np.ndarray, weight_new: float) -> np.ndarray:
+    return (1.0 - weight_new) * old + weight_new * new
 
 
-def update_grad_momentum(ps: ParamState, g: np.ndarray, beta_m: float,
-                         convention: str = "new-term") -> np.ndarray:
-    ps.m_g = _mix(ps.m_g, g, beta_m, convention)
+def update_grad_momentum(ps: ParamState, g: np.ndarray, beta_m: float) -> np.ndarray:
+    ps.m_g = _mix(ps.m_g, g, beta_m)
     return ps.m_g
 
 
 def direction_1d(ps: ParamState, g: np.ndarray, h: np.ndarray, cfg: SgdPhConfig) -> np.ndarray:
     """Updates both momenta of ps and returns the damped Newton direction; a
     failing Hessian momentum raises before either slot is written."""
-    m_h = _mix(ps.m_h, rectify(h, cfg.eps), cfg.alpha, cfg.momentum_convention)
+    m_h = _mix(ps.m_h, rectify(h, cfg.eps), cfg.alpha)
     # written so that NaN fails it: every comparison with NaN is False
     bad = ~(np.isfinite(m_h) & (m_h > 0))
     if bad.any():
@@ -117,18 +108,12 @@ def direction_1d(ps: ParamState, g: np.ndarray, h: np.ndarray, cfg: SgdPhConfig)
             "non-finite curvature, or eps = 0 with zero curvature?"
         )
     ps.m_h = m_h
-    m_g = update_grad_momentum(ps, g, cfg.beta_m, cfg.momentum_convention)
+    m_g = update_grad_momentum(ps, g, cfg.beta_m)
     return cfg.tau_so * m_g / m_h
 
 
 def direction_dense(ps: ParamState, g: np.ndarray, cfg: SgdPhConfig) -> np.ndarray:
-    return update_grad_momentum(ps, g, cfg.beta_m, cfg.momentum_convention)
-
-
-def _params_of(model_or_params):
-    if hasattr(model_or_params, "parameters"):
-        return model_or_params.parameters()
-    return list(model_or_params)
+    return update_grad_momentum(ps, g, cfg.beta_m)
 
 
 def _check_finite(a: np.ndarray, what: str) -> None:
@@ -147,7 +132,7 @@ def _step(params, grads: dict, hdiags: dict | None, cfg: SgdPhConfig,
     second phase commits them all. hdiags=None treats every parameter as
     dense."""
     staged = []
-    for p in _params_of(params):
+    for p in params:
         if p.name not in grads:
             raise MissingUpdateError(f"no gradient supplied for parameter {p.name!r}")
         one_d = hdiags is not None and p.kind == ad.CHANNELWISE_1D
@@ -175,16 +160,16 @@ def _step(params, grads: dict, hdiags: dict | None, cfg: SgdPhConfig,
     state.steps += 1
 
 
-def step(model, grads: dict, hdiags: dict, cfg: SgdPhConfig, state: OptState) -> None:
-    """One compound update. grads must cover every parameter; hdiags must
-    cover every channelwise-1d parameter. A failing parameter leaves every
-    parameter and slot as it was."""
-    _step(model, grads, hdiags, cfg, state)
+def step(params, grads: dict, hdiags: dict, cfg: SgdPhConfig, state: OptState) -> None:
+    """One compound update of a parameter list. grads must cover every
+    parameter; hdiags must cover every channelwise-1d parameter. A failing
+    parameter leaves every parameter and slot as it was."""
+    _step(params, grads, hdiags, cfg, state)
 
 
-def sgdm_step(model, grads: dict, cfg: SgdPhConfig, state: OptState) -> None:
+def sgdm_step(params, grads: dict, cfg: SgdPhConfig, state: OptState) -> None:
     """Baseline: the compound update with every parameter treated as dense."""
-    _step(model, grads, None, cfg, state)
+    _step(params, grads, None, cfg, state)
 
 
 def decayed_tau(base_tau: float, epoch: int, decay_every: int, decay_factor: float) -> float:

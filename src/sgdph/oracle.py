@@ -27,15 +27,13 @@ class NonFiniteLossError(ValueError):
     pass
 
 
-@dataclass
-class FdSpec:
-    """Step of the central differences every oracle here takes."""
+# step of the central differences every oracle here takes
+FD_STEP = 1e-4
 
-    h: float = 1e-4
 
-    def __post_init__(self):
-        if not self.h > 0:
-            raise ValueError(f"finite-difference step must be positive, got {self.h}")
+def _check_step(h: float) -> None:
+    if not h > 0:
+        raise ValueError(f"finite-difference step must be positive, got {h}")
 
 
 def max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -55,29 +53,28 @@ def _eval(lossfn, values: dict[str, np.ndarray], name: str, shifts: dict[int, fl
     return out
 
 
-def fd_gradient(lossfn, params: dict[str, np.ndarray], spec: FdSpec | None = None) -> dict[str, np.ndarray]:
+def fd_gradient(lossfn, params: dict[str, np.ndarray], h: float = FD_STEP) -> dict[str, np.ndarray]:
     """Central differences (L(w + h e_i) - L(w - h e_i)) / 2h per coordinate
     of every parameter. lossfn maps a name->array dict to a scalar."""
-    spec = spec or FdSpec()
+    _check_step(h)
     base = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
     out = {}
     for name, w in base.items():
         g = np.zeros(w.size, dtype=np.float64)
         for i in range(w.size):
-            lp = _eval(lossfn, base, name, {i: +spec.h})
-            lm = _eval(lossfn, base, name, {i: -spec.h})
-            g[i] = (lp - lm) / (2.0 * spec.h)
+            lp = _eval(lossfn, base, name, {i: +h})
+            lm = _eval(lossfn, base, name, {i: -h})
+            g[i] = (lp - lm) / (2.0 * h)
         out[name] = g.reshape(w.shape)
     return out
 
 
 def fd_hessian_block_1d(lossfn, params: dict[str, np.ndarray], name: str,
-                        spec: FdSpec | None = None, symmetrize: bool = True) -> np.ndarray:
+                        h: float = FD_STEP) -> np.ndarray:
     """The full C x C second-difference Hessian block of one 1-D parameter,
     built as central differences of central-difference gradients (4 loss
-    evaluations per entry, O(C^2) total). Symmetrized as (H + H^T)/2 unless
-    the raw matrix is requested for noise auditing."""
-    spec = spec or FdSpec()
+    evaluations per entry, O(C^2) total), symmetrized as (H + H^T)/2."""
+    _check_step(h)
     w = np.asarray(params[name], dtype=np.float64)
     if w.ndim != 1:
         raise ValueError(f"{name!r} is not 1-D (shape {w.shape})")
@@ -85,7 +82,6 @@ def fd_hessian_block_1d(lossfn, params: dict[str, np.ndarray], name: str,
     if c > 64:
         raise ValueError(f"block Hessian limited to C <= 64, got C = {c}")
     base = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
-    h = spec.h
 
     def grad_entry(j: int, i: int, si: float) -> float:
         sp = {i: si}
@@ -102,7 +98,7 @@ def fd_hessian_block_1d(lossfn, params: dict[str, np.ndarray], name: str,
             out[i, j] = (gp - gm) / (2.0 * h)
     if not np.all(np.isfinite(out)):
         raise NonFiniteLossError(f"non-finite entries in FD Hessian block of {name!r}")
-    return 0.5 * (out + out.T) if symmetrize else out
+    return 0.5 * (out + out.T)
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +171,13 @@ def tape_hdiag(model: nn.Model, x: np.ndarray, name: str, loss: str = "sos",
     return ad.hessian_diag_1d(loss_var, env[name])
 
 
-def gradcheck(model: nn.Model, x: np.ndarray, spec: FdSpec | None = None,
+def gradcheck(model: nn.Model, x: np.ndarray, h: float = FD_STEP,
               loss: str = "sos", labels=None) -> dict[str, float]:
     """Entrywise relative error between tape gradients and central
     differences, per parameter, in f64 training mode."""
     grads, _, _ = tape_gradients(model, x, loss, labels, training=True)
     fd = fd_gradient(model_lossfn(model, x, loss, labels, training=True),
-                     model.values(), spec)
+                     model.values(), h)
     return {name: max_rel_err(grads[name], fd[name]) for name in fd}
 
 
@@ -226,13 +222,13 @@ LAYER_CASES = ("linear", "conv2d", "wnconv", "batchnorm2d", "batchnorm4d",
                "relu", "flatten-head")
 
 
-def gradcheck_layers(seeds, spec: FdSpec | None = None) -> dict[str, float]:
+def gradcheck_layers(seeds, h: float = FD_STEP) -> dict[str, float]:
     """Max entrywise relative FD error per (case, parameter) across seeds."""
     worst: dict[str, float] = {}
     for case in LAYER_CASES:
         for seed in seeds:
             model, x, loss, labels = build_layer_case(case, seed)
-            for pname, err in gradcheck(model, x, spec, loss, labels).items():
+            for pname, err in gradcheck(model, x, h, loss, labels).items():
                 key = f"{case}:{pname}"
                 worst[key] = max(worst.get(key, 0.0), err)
     return worst
@@ -253,14 +249,14 @@ class DiagonalityReport:
 
 
 def diagonality_report(model: nn.Model, x: np.ndarray, name: str,
-                       spec: FdSpec | None = None, loss: str = "sos",
+                       h: float = FD_STEP, loss: str = "sos",
                        labels=None) -> DiagonalityReport:
     """Quantifies how diagonal a 1-D parameter's true Hessian block is, and
     how closely the tape extraction matches the block's row sums. The
     extraction always equals the row sums; it equals the diagonal only when
     the off-diagonal mass vanishes (terminal-layer configurations)."""
     lossfn = model_lossfn(model, x, loss, labels, training=True)
-    block = fd_hessian_block_1d(lossfn, model.values(), name, spec)
+    block = fd_hessian_block_1d(lossfn, model.values(), name, h)
     extracted = tape_hdiag(model, x, name, loss, labels, training=True)
     diag = np.diag(block)
     off = block - np.diag(diag)

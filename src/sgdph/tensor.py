@@ -180,7 +180,16 @@ def fold2d(cols: np.ndarray, x_shape: tuple, kh: int, kw: int, pads: tuple) -> n
     return out
 
 
-def conv_pads(h: int, w: int, kh: int, kw: int, padding: str) -> tuple:
+def conv_pads(x_shape: tuple, w_shape: tuple, padding: str) -> tuple[tuple, int, int]:
+    """Checks a stride-1 convolution of an [N,Cin,H,W] input with a
+    [Cout,Cin,kh,kw] kernel and returns its zero padding (top, bottom,
+    left, right) and output extents OH, OW."""
+    if len(x_shape) != 4 or len(w_shape) != 4:
+        raise ShapeMismatchError(f"conv2d needs 4-D input/kernel, got {x_shape}, {w_shape}")
+    if x_shape[1] != w_shape[1]:
+        raise ShapeMismatchError(f"channel mismatch: input {x_shape[1]} vs kernel {w_shape[1]}")
+    _, _, h, w = x_shape
+    _, _, kh, kw = w_shape
     if padding == "valid":
         pads = (0, 0, 0, 0)
     elif padding == "same":
@@ -191,7 +200,7 @@ def conv_pads(h: int, w: int, kh: int, kw: int, padding: str) -> tuple:
         raise ShapeMismatchError(
             f"kernel {kh}x{kw} larger than padded input {h}x{w} ({padding})"
         )
-    return pads
+    return pads, h + pads[0] + pads[1] - kh + 1, w + pads[2] + pads[3] - kw + 1
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, padding: str = "valid") -> np.ndarray:
@@ -200,16 +209,8 @@ def conv2d(x: np.ndarray, w: np.ndarray, padding: str = "valid") -> np.ndarray:
     [N,Cout,OH,OW]."""
     x = np.asarray(x)
     w = np.asarray(w)
-    if x.ndim != 4 or w.ndim != 4:
-        raise ShapeMismatchError(f"conv2d needs 4-D input/kernel, got {x.shape}, {w.shape}")
-    if x.shape[1] != w.shape[1]:
-        raise ShapeMismatchError(
-            f"channel mismatch: input {x.shape[1]} vs kernel {w.shape[1]}"
-        )
-    n, _, h, wd = x.shape
+    pads, oh, ow = conv_pads(x.shape, w.shape, padding)
+    n = x.shape[0]
     cout, cin, kh, kw = w.shape
-    pads = conv_pads(h, wd, kh, kw, padding)
-    oh = h + pads[0] + pads[1] - kh + 1
-    ow = wd + pads[2] + pads[3] - kw + 1
     out = np.matmul(w.reshape(cout, cin * kh * kw), unfold2d(x, kh, kw, pads))
     return out.reshape(n, cout, oh, ow)

@@ -89,19 +89,8 @@ def make_dataset(cfg: RunConfig) -> Dataset:
 
 
 def build_from_config(cfg: RunConfig, dataset: Dataset) -> nn.Model:
-    return nn.build_model(
-        cfg.model, Rng(cfg.seed), in_shape=dataset.in_shape,
-        n_classes=dataset.n_classes, dtype=DTYPES[cfg.dtype],
-        bias_second_order=cfg.bias_second_order,
-    )
-
-
-def opt_config(cfg: RunConfig, tau: float | None = None) -> optim.SgdPhConfig:
-    return optim.SgdPhConfig(
-        tau=cfg.tau if tau is None else tau, tau_so=cfg.tau_so, alpha=cfg.alpha,
-        beta_m=cfg.beta_m, eta=cfg.eta, eps=cfg.eps,
-        momentum_convention=cfg.momentum_convention,
-    )
+    return nn.build_model(cfg.model, Rng(cfg.seed), in_shape=dataset.in_shape,
+                          n_classes=dataset.n_classes, dtype=DTYPES[cfg.dtype])
 
 
 def evaluate(model: nn.Model, x: np.ndarray, y: np.ndarray, batch_size: int,
@@ -186,9 +175,12 @@ def train(cfg: RunConfig) -> TrainResult:
             records.append(rec)
             metrics_file.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
+        def hstats() -> list[dict] | None:
+            return _hessian_stats(state, one_d) if use_hessian else None
+
         for epoch in range(cfg.epochs):
             tau_epoch = optim.decayed_tau(cfg.tau, epoch, cfg.decay_every, cfg.lr_decay_factor)
-            step_cfg = opt_config(cfg, tau=tau_epoch)
+            step_cfg = cfg.opt_config(tau=tau_epoch)
             perm = Rng(cfg.seed ^ epoch).permutation(n)
             n_batches = 0
             for step, lo in enumerate(range(0, n, cfg.batch_size)):
@@ -203,9 +195,8 @@ def train(cfg: RunConfig) -> TrainResult:
                 loss = float(loss_var.value)
                 acc = float(np.mean(np.argmax(logits.value, axis=1) == yb))
 
-                hstats_now = _hessian_stats(state, one_d) if use_hessian else None
                 if not np.isfinite(loss):
-                    emit(_record(epoch, step, "train", None, None, tau_epoch, None, hstats_now))
+                    emit(_record(epoch, step, "train", None, None, tau_epoch, None, hstats()))
                     raise TrainAbortError(
                         f"non-finite loss at epoch {epoch} step {step}; aborting"
                     )
@@ -220,9 +211,9 @@ def train(cfg: RunConfig) -> TrainResult:
                         for pname in one_d:
                             hdiags[pname] = ad.hessian_diag_1d(loss_var, env[pname])
                             counters["hdiag_calls"] += 1
-                        optim.step(model, grads, hdiags, step_cfg, state)
+                        optim.step(params, grads, hdiags, step_cfg, state)
                     else:
-                        optim.sgdm_step(model, grads, step_cfg, state)
+                        optim.sgdm_step(params, grads, step_cfg, state)
                 except optim.InvariantViolation as e:
                     raise TrainAbortError(f"epoch {epoch} step {step}: {e}") from e
                 counters["steps"] += 1
@@ -232,14 +223,13 @@ def train(cfg: RunConfig) -> TrainResult:
                 del env, logits, loss_var, grads_by_id, grads
 
                 wall_ms = (time.perf_counter() - t0) * 1e3 if cfg.log_wall_time else None
-                emit(_record(epoch, step, "train", loss, acc, tau_epoch, wall_ms,
-                             _hessian_stats(state, one_d) if use_hessian else None))
+                emit(_record(epoch, step, "train", loss, acc, tau_epoch, wall_ms, hstats()))
                 n_batches += 1
 
             test_loss, test_acc = evaluate(model, dataset.x_test, dataset.y_test,
                                            cfg.batch_size, dtype)
             emit(_record(epoch, n_batches, "test", test_loss, test_acc, tau_epoch, None,
-                         _hessian_stats(state, one_d) if use_hessian else None))
+                         hstats()))
 
     save_checkpoint(cfg.out_checkpoint, model, cfg.dtype)
     return TrainResult(cfg, model, dataset, records, counters,

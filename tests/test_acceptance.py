@@ -78,7 +78,7 @@ def test_criterion_03_terminal_bn_block_is_diagonal_with_closed_form():
     x = Rng(1).normal((n, 5))
     # the loss is exactly quadratic in gamma/beta, so a large FD step has
     # zero truncation error and suppresses the roundoff a tiny step hits
-    spec = oracle.FdSpec(h=0.25)
+    h = 0.25
     lossfn = oracle.model_lossfn(model, x)
 
     values = model.values()
@@ -91,7 +91,7 @@ def test_criterion_03_terminal_bn_block_is_diagonal_with_closed_form():
     worst_off, worst_closed = 0.0, 0.0
     for name, closed in (("bn1.gamma", np.sum(xhat ** 2, axis=0)),
                          ("bn1.beta", np.full(6, float(n)))):
-        block = oracle.fd_hessian_block_1d(lossfn, values, name, spec)
+        block = oracle.fd_hessian_block_1d(lossfn, values, name, h)
         diag = np.diag(block)
         off = np.max(np.abs(block - np.diag(diag)))
         bound = 1e-8 * (1.0 + np.max(np.abs(diag)))
@@ -134,9 +134,9 @@ def test_criterion_05_degeneration_to_sgdm_over_100_steps():
             yb = ds.y_train[lo : lo + 20]
             grads, _, _ = oracle.tape_gradients(model, xb, "ce", yb)
             if use_compound:
-                optim.step(model, grads, {}, cfg, state)
+                optim.step(model.parameters(), grads, {}, cfg, state)
             else:
-                optim.sgdm_step(model, grads, cfg, state)
+                optim.sgdm_step(model.parameters(), grads, cfg, state)
             snaps.append(np.concatenate([p.value.ravel() for p in model.parameters()]))
         return snaps
 

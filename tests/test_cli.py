@@ -57,6 +57,24 @@ class TestTrain:
         assert cli(["train", "--config", str(cfg)]) == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("momentum_convention", "classical"),
+                                           ("bias_second_order", "false")])
+    def test_removed_option_is_unknown_key(self, tmp_path, capsys, key, value):
+        cfg = write_cfg(tmp_path, **{key: value})
+        assert cli(["train", "--config", str(cfg)]) == 1
+        assert f"run.cfg:8: unknown config key '{key}'" in capsys.readouterr().err
+
+    def test_bad_hyperparameter_fails_before_metrics_open(self, tmp_path, capsys):
+        metrics = tmp_path / "m.jsonl"
+        metrics.write_text('{"epoch":0}\n')
+        rc = cli(["train", "--set", "alpha=1.5", "--set", "epochs=1",
+                  "--set", f"out.metrics={metrics}",
+                  "--set", f"out.checkpoint={tmp_path / 'm.ckpt'}"])
+        assert rc == 1
+        assert "alpha" in capsys.readouterr().err
+        assert metrics.read_text() == '{"epoch":0}\n'
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_missing_config_file(self, capsys):
         assert cli(["train", "--config", "/nonexistent/run.cfg"]) == 1
         assert "error:" in capsys.readouterr().err

@@ -1,8 +1,10 @@
 """Config file parsing, dotted keys, coercion, and validation."""
 
+import dataclasses
+
 import pytest
 
-from sgdph.config import ConfigError, RunConfig, config_from_overrides, load_config, parse_kv_lines
+from sgdph.config import ConfigError, RunConfig, load_config, parse_kv_lines
 
 
 class TestDefaults:
@@ -69,7 +71,7 @@ class TestLoadConfig:
         assert cfg.seed == 9
 
     def test_config_from_overrides(self):
-        cfg = config_from_overrides(["optimizer=sgdm", "dataset.classes=3"])
+        cfg = load_config("", ["optimizer=sgdm", "dataset.classes=3"])
         assert cfg.optimizer == "sgdm" and cfg.dataset_classes == 3
 
 
@@ -78,15 +80,24 @@ class TestValidation:
         ({"optimizer": "adam"}, "optimizer"),
         ({"dtype": "f16"}, "dtype"),
         ({"dataset_kind": "csv"}, "dataset.kind"),
-        ({"momentum_convention": "nesterov"}, "momentum_convention"),
+        ({"alpha": 1.5}, "alpha"),
         ({"epochs": 0}, "positive"),
         ({"batch_size": 0}, "positive"),
         ({"eps": 0.0}, "eps"),
         ({"tau": 0.0}, "tau"),
+        ({"beta_m": 0.0}, "beta_m"),
+        ({"eta": -1.0}, "eta"),
+        ({"tau_so": 0.0}, "tau_so"),
     ])
     def test_rejected_fields(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):
             RunConfig(**kwargs)
+
+    def test_checked_fields_cannot_be_reassigned(self):
+        cfg = RunConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.alpha = 1.5
+        assert cfg.alpha == 0.9
 
     def test_training_configs_require_positive_eps(self):
         # the optimizer dataclass admits eps = 0 for property tests; the

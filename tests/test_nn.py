@@ -178,8 +178,6 @@ class TestLinearConv:
     def test_default_bias_kind_is_channelwise(self):
         layer = nn.Conv2d("c", 1, 2, 3, Rng(4))
         assert layer.bias.kind == ad.CHANNELWISE_1D
-        dense = nn.Conv2d("d", 1, 2, 3, Rng(4), bias_kind=ad.DENSE)
-        assert dense.bias.kind == ad.DENSE
 
 
 class TestLosses:
@@ -282,13 +280,6 @@ class TestZoo:
         assert kinds["bn1.gamma"] == ad.CHANNELWISE_1D
         assert kinds["bn1.beta"] == ad.CHANNELWISE_1D
         assert kinds["fc.weight"] == ad.DENSE
-
-    def test_bias_second_order_flag(self):
-        model = nn.build_model("cnn-bn", Rng(0), in_shape=(1, 6, 6), n_classes=2,
-                               bias_second_order=False)
-        kinds = {p.name: p.kind for p in model.parameters()}
-        assert kinds["conv1.bias"] == ad.DENSE
-        assert kinds["bn1.gamma"] == ad.CHANNELWISE_1D
 
     def test_wn_zoo_gamma_is_channelwise(self):
         model = nn.build_model("cnn-wn", Rng(0), in_shape=(1, 6, 6), n_classes=2)

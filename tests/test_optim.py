@@ -25,12 +25,10 @@ class TestConfig:
         assert cfg.tau_so == 0.001
         assert cfg.alpha == 0.9 and cfg.beta_m == 0.9
         assert cfg.eps == 0.0001
-        assert cfg.momentum_convention == "new-term"
 
     @pytest.mark.parametrize("kwargs", [
         {"tau": 0.0}, {"tau": -1.0}, {"tau_so": 0.0}, {"alpha": 0.0}, {"alpha": 1.0},
-        {"beta_m": 1.5}, {"eta": -0.1}, {"eps": -1e-9},
-        {"momentum_convention": "nesterov"},
+        {"beta_m": 1.5}, {"eta": -0.1}, {"eps": -1e-9}, {"beta_m": 0.0},
     ])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
@@ -48,19 +46,11 @@ class TestMomentum:
         np.testing.assert_allclose(m1, [0.9], rtol=0, atol=1e-16)
         np.testing.assert_allclose(m2, [0.1 * 0.9 + 0.9 * 2.0], rtol=0, atol=1e-16)
 
-    def test_classical_recursion_hand_values(self):
-        ps = optim.ParamState(m_g=np.zeros(1))
-        m1 = optim.update_grad_momentum(ps, np.array([1.0]), 0.9, "classical").copy()
-        m2 = optim.update_grad_momentum(ps, np.array([2.0]), 0.9, "classical").copy()
-        np.testing.assert_allclose(m1, [0.1], rtol=0, atol=1e-15)
-        np.testing.assert_allclose(m2, [0.9 * 0.1 + 0.1 * 2.0], rtol=0, atol=1e-15)
-
     def test_constant_signal_is_fixed_point(self):
         g = np.array([0.3, -0.8])
-        for convention in optim.CONVENTIONS:
-            ps = optim.ParamState(m_g=g.copy())
-            out = optim.update_grad_momentum(ps, g, 0.9, convention)
-            np.testing.assert_allclose(out, g, rtol=1e-15, atol=1e-16)
+        ps = optim.ParamState(m_g=g.copy())
+        out = optim.update_grad_momentum(ps, g, 0.9)
+        np.testing.assert_allclose(out, g, rtol=1e-15, atol=1e-16)
 
     def test_hessian_momentum_same_recursion(self):
         ps = optim.ParamState(m_g=np.zeros(1), m_h=np.zeros(1))
@@ -289,15 +279,14 @@ class TestConvergence:
 
 
 class TestProperties:
-    @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**32 - 1),
-           st.sampled_from(optim.CONVENTIONS))
+    @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30, deadline=None)
-    def test_momentum_stays_in_convex_hull(self, n, seed, convention):
+    def test_momentum_stays_in_convex_hull(self, n, seed):
         rng = Rng(seed)
         old = rng.uniform(-5.0, 5.0, (n,))
         new = rng.uniform(-5.0, 5.0, (n,))
         ps = optim.ParamState(m_g=old.copy())
-        out = optim.update_grad_momentum(ps, new, 0.9, convention)
+        out = optim.update_grad_momentum(ps, new, 0.9)
         lo = np.minimum(old, new) - 1e-12
         hi = np.maximum(old, new) + 1e-12
         assert np.all(out >= lo) and np.all(out <= hi)

@@ -21,12 +21,6 @@ class TestMaxRelErr:
         assert oracle.max_rel_err(np.array([]), np.array([])) == 0.0
 
 
-class TestFdSpec:
-    def test_rejects_nonpositive_step(self):
-        with pytest.raises(ValueError):
-            oracle.FdSpec(h=0.0)
-
-
 class TestFdGradient:
     def test_quadratic(self):
         a = np.array([2.0, -3.0, 0.5])
@@ -61,6 +55,15 @@ class TestFdGradient:
         with pytest.raises(oracle.NonFiniteLossError):
             oracle.fd_gradient(lossfn, {"w": np.ones(1)})
 
+    def test_rejects_nonpositive_step(self):
+        def lossfn(values):
+            return float(np.sum(values["w"] ** 2))
+
+        with pytest.raises(ValueError, match="step must be positive"):
+            oracle.fd_gradient(lossfn, {"w": np.ones(2)}, h=0.0)
+        with pytest.raises(ValueError, match="step must be positive"):
+            oracle.fd_hessian_block_1d(lossfn, {"w": np.ones(2)}, "w", h=-1e-4)
+
 
 class TestFdHessianBlock:
     def test_diagonal_quadratic(self):
@@ -69,16 +72,14 @@ class TestFdHessianBlock:
         def lossfn(values):
             return float(0.5 * np.sum(a * values["g"] ** 2))
 
-        block = oracle.fd_hessian_block_1d(lossfn, {"g": np.ones(3)}, "g",
-                                           oracle.FdSpec(h=0.5))
+        block = oracle.fd_hessian_block_1d(lossfn, {"g": np.ones(3)}, "g", h=0.5)
         np.testing.assert_allclose(block, np.diag(a), rtol=0, atol=1e-10)
 
     def test_fully_coupled_quadratic(self):
         def lossfn(values):
             return float(0.5 * np.sum(values["g"]) ** 2)
 
-        block = oracle.fd_hessian_block_1d(lossfn, {"g": np.zeros(4)}, "g",
-                                           oracle.FdSpec(h=0.5))
+        block = oracle.fd_hessian_block_1d(lossfn, {"g": np.zeros(4)}, "g", h=0.5)
         np.testing.assert_allclose(block, np.ones((4, 4)), rtol=0, atol=1e-10)
 
     def test_symmetrized_output_is_symmetric(self):
@@ -91,21 +92,6 @@ class TestFdHessianBlock:
 
         block = oracle.fd_hessian_block_1d(lossfn, {"g": rng.normal((3,))}, "g")
         np.testing.assert_array_equal(block, block.T)
-
-    def test_raw_matrix_carries_rounding_asymmetry(self):
-        rng = Rng(1)
-        a = rng.normal((3, 3))
-        a = 0.5 * (a + a.T)
-
-        def lossfn(values):
-            w = values["g"]
-            return float(0.5 * w @ a @ w + np.sum(np.exp(0.3 * w)))
-
-        raw = oracle.fd_hessian_block_1d(lossfn, {"g": rng.normal((3,))}, "g",
-                                         symmetrize=False)
-        # the truth is symmetric; the literal difference-of-FD-gradients
-        # estimate is not bit-symmetric, only symmetric up to FD noise
-        assert np.max(np.abs(raw - raw.T)) < 1e-5
 
     def test_rejects_matrix_parameter(self):
         with pytest.raises(ValueError, match="not 1-D"):
@@ -161,8 +147,7 @@ class TestModelOracles:
         x = Rng(4).normal((12, 4))
         extracted = oracle.tape_hdiag(model, x, "bn1.gamma")
         lossfn = oracle.model_lossfn(model, x)
-        block = oracle.fd_hessian_block_1d(lossfn, model.values(), "bn1.gamma",
-                                           oracle.FdSpec(h=0.25))
+        block = oracle.fd_hessian_block_1d(lossfn, model.values(), "bn1.gamma", h=0.25)
         np.testing.assert_allclose(extracted, block.sum(axis=1), rtol=1e-9, atol=1e-9)
 
 
@@ -172,7 +157,7 @@ class TestDiagonalityReport:
         x = Rng(1).normal((16, 5))
         # terminal-BN + sum-of-squares is exactly quadratic in gamma, so a
         # large step is exact where a small one drowns in roundoff
-        rep = oracle.diagonality_report(model, x, "bn1.gamma", oracle.FdSpec(h=0.25))
+        rep = oracle.diagonality_report(model, x, "bn1.gamma", h=0.25)
         assert rep.parameter == "bn1.gamma" and rep.c == 6
         assert rep.max_abs_offdiag <= 1e-8 * (1.0 + rep.max_abs_diag)
         assert rep.extracted_vs_rowsum_relerr <= 1e-9
