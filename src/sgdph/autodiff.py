@@ -349,19 +349,19 @@ def fold(cols: Variable, x_shape: tuple, kh: int, kw: int, pads: tuple) -> Varia
     return _op(cols.graph, fold2d(cols.value, x_shape, kh, kw, pads), (cols,), vjp, "fold")
 
 
-def conv2d(x: Variable, w: Variable, padding: str = "valid") -> Variable:
-    """Stride-1 cross-correlation as per-sample unfold + one batched matmul,
-    so both backward passes reduce to the linear-op adjoint pairs above.
-    The kernel matrix enters as a broadcast view over the batch, whose
-    adjoint sums the per-sample kernel gradients; the result is a
-    C-contiguous [N,Cout,OH,OW]."""
-    pads, oh, ow = conv_pads(x.shape, w.shape, padding)
+def conv2d(x: Variable, w: Variable) -> Variable:
+    """Same-padded stride-1 cross-correlation as per-sample unfold + one
+    batched matmul, so both backward passes reduce to the linear-op adjoint
+    pairs above. The kernel matrix enters as a broadcast view over the
+    batch, whose adjoint sums the per-sample kernel gradients; the result
+    is a C-contiguous [N,Cout,H,W]."""
+    pads = conv_pads(x.shape, w.shape)
     n = x.shape[0]
     cout, cin, kh, kw = w.shape
     cols = unfold(x, kh, kw, pads)
     k = cin * kh * kw
     wmat = broadcast_to(reshape(w, (1, cout, k)), (n, cout, k))
-    return reshape(matmul(wmat, cols), (n, cout, oh, ow))
+    return reshape(matmul(wmat, cols), (n, cout) + x.shape[2:])
 
 
 # ---------------------------------------------------------------------------

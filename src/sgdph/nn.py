@@ -57,7 +57,7 @@ class Layer:
     def params(self) -> list[Parameter]:
         return []
 
-    def forward_v(self, x: ad.Variable, env: dict[str, ad.Variable], training: bool) -> ad.Variable:
+    def forward_v(self, x: ad.Variable, env: dict[str, ad.Variable]) -> ad.Variable:
         raise NotImplementedError
 
     def forward_np(self, x: np.ndarray, values: dict[str, np.ndarray], training: bool) -> np.ndarray:
@@ -75,7 +75,7 @@ class Linear(Layer):
     def params(self):
         return [self.weight, self.bias]
 
-    def forward_v(self, x, env, training):
+    def forward_v(self, x, env):
         y = ad.matmul(x, env[self.weight.name])
         b = ad.reshape(env[self.bias.name], (1, y.shape[1]))
         return ad.add(y, ad.broadcast_to(b, y.shape))
@@ -88,9 +88,8 @@ class Conv2d(Layer):
     """3x3-style stride-1 convolution; bias is channelwise so the
     optimizer's second-order branch covers it."""
 
-    def __init__(self, name, c_in, c_out, k, rng, dtype=np.float64, padding="same"):
+    def __init__(self, name, c_in, c_out, k, rng, dtype=np.float64):
         self.name = name
-        self.padding = padding
         fan_in = c_in * k * k
         self.weight = Parameter(
             f"{name}.weight", _kaiming_uniform(rng, (c_out, c_in, k, k), fan_in, dtype), ad.DENSE
@@ -100,12 +99,12 @@ class Conv2d(Layer):
     def params(self):
         return [self.weight, self.bias]
 
-    def forward_v(self, x, env, training):
-        y = ad.conv2d(x, env[self.weight.name], padding=self.padding)
+    def forward_v(self, x, env):
+        y = ad.conv2d(x, env[self.weight.name])
         return _add_channel_bias(y, env[self.bias.name])
 
     def forward_np(self, x, values, training):
-        y = conv2d_np(x, values[self.weight.name], padding=self.padding)
+        y = conv2d_np(x, values[self.weight.name])
         return y + values[self.bias.name].reshape(1, -1, 1, 1)
 
 
@@ -114,9 +113,8 @@ class WNConv(Layer):
     per-channel length gamma decouples from direction V, and gamma is a 1-D
     parameter eligible for second-order updates."""
 
-    def __init__(self, name, c_in, c_out, k, rng, dtype=np.float64, padding="same"):
+    def __init__(self, name, c_in, c_out, k, rng, dtype=np.float64):
         self.name = name
-        self.padding = padding
         fan_in = c_in * k * k
         v0 = _kaiming_uniform(rng, (c_out, c_in, k, k), fan_in, dtype)
         self.v = Parameter(f"{name}.v", v0, ad.DENSE)
@@ -137,21 +135,21 @@ class WNConv(Layer):
         cout = v.shape[0]
         return ad.mul(ad.broadcast_to(ad.reshape(scale, (cout, 1, 1, 1)), v.shape), v)
 
-    def forward_v(self, x, env, training):
+    def forward_v(self, x, env):
         w = self.reparam_v(env)
-        y = ad.conv2d(x, w, padding=self.padding)
+        y = ad.conv2d(x, w)
         return _add_channel_bias(y, env[self.bias.name])
 
     def forward_np(self, x, values, training):
         w = wn_reparam_values(values[self.v.name], values[self.gamma.name], self.name)
-        y = conv2d_np(x, w, padding=self.padding)
+        y = conv2d_np(x, w)
         return y + values[self.bias.name].reshape(1, -1, 1, 1)
 
 
 class BatchNorm(Layer):
     """Per-channel normalize-scale-shift with population batch statistics
-    while training and tracked running statistics in eval mode. Accepts
-    [N,C] or [N,C,H,W] activations."""
+    while training and tracked running statistics in eval mode (array path
+    only: the tape always trains). Accepts [N,C] or [N,C,H,W] activations."""
 
     def __init__(self, name, c, dtype=np.float64, eps_bn=1e-5):
         self.name = name
@@ -179,21 +177,17 @@ class BatchNorm(Layer):
                 f"{self.name}: expected {self.c} channels, got {x_shape[1]} (input {x_shape})"
             )
 
-    def forward_v(self, x, env, training):
+    def forward_v(self, x, env):
         self._check_channels(x.shape)
         axes, keep = self._axes_and_keep(x.value.ndim, self.c)
-        if training:
-            mu = ad.mean_axes(x, axes)
-            d = ad.sub(x, ad.broadcast_to(ad.reshape(mu, keep), x.shape))
-            var = ad.mean_axes(ad.mul(d, d), axes)
-            # running stats track detached batch statistics
-            self.running_mean = (1 - _STAT_MOMENTUM) * self.running_mean + _STAT_MOMENTUM * mu.value
-            self.running_var = (1 - _STAT_MOMENTUM) * self.running_var + _STAT_MOMENTUM * var.value
-            inv = ad.recip(ad.sqrt(ad.cadd(var, self.eps_bn)))
-            xhat = ad.mul(d, ad.broadcast_to(ad.reshape(inv, keep), x.shape))
-        else:
-            inv_c = 1.0 / np.sqrt(self.running_var + self.eps_bn)
-            xhat = ad.cmul(ad.cadd(x, -self.running_mean.reshape(keep)), inv_c.reshape(keep))
+        mu = ad.mean_axes(x, axes)
+        d = ad.sub(x, ad.broadcast_to(ad.reshape(mu, keep), x.shape))
+        var = ad.mean_axes(ad.mul(d, d), axes)
+        # running stats track detached batch statistics
+        self.running_mean = (1 - _STAT_MOMENTUM) * self.running_mean + _STAT_MOMENTUM * mu.value
+        self.running_var = (1 - _STAT_MOMENTUM) * self.running_var + _STAT_MOMENTUM * var.value
+        inv = ad.recip(ad.sqrt(ad.cadd(var, self.eps_bn)))
+        xhat = ad.mul(d, ad.broadcast_to(ad.reshape(inv, keep), x.shape))
         g = ad.broadcast_to(ad.reshape(env[self.gamma.name], keep), x.shape)
         b = ad.broadcast_to(ad.reshape(env[self.beta.name], keep), x.shape)
         return ad.add(ad.mul(g, xhat), b)
@@ -210,7 +204,7 @@ class BatchNorm(Layer):
 
 
 class ReLU(Layer):
-    def forward_v(self, x, env, training):
+    def forward_v(self, x, env):
         return ad.relu(x)
 
     def forward_np(self, x, values, training):
@@ -218,7 +212,7 @@ class ReLU(Layer):
 
 
 class Flatten(Layer):
-    def forward_v(self, x, env, training):
+    def forward_v(self, x, env):
         n = x.shape[0]
         return ad.reshape(x, (n, int(np.prod(x.shape[1:]))))
 
@@ -323,9 +317,9 @@ class Model:
             for p in self.parameters()
         }
 
-    def forward_v(self, x: ad.Variable, env: dict[str, ad.Variable], training: bool) -> ad.Variable:
+    def forward_v(self, x: ad.Variable, env: dict[str, ad.Variable]) -> ad.Variable:
         for layer in self.layers:
-            x = layer.forward_v(x, env, training)
+            x = layer.forward_v(x, env)
         return x
 
     def forward_np(self, x: np.ndarray, values: dict[str, np.ndarray] | None = None,

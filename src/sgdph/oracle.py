@@ -3,7 +3,9 @@
 Finite differences here are the ground truth the tape is judged against:
 losses are evaluated through the plain-array forward path only, so the
 adjoint machinery under test contributes nothing to the reference
-numbers. All oracle arithmetic runs in f64.
+numbers. All oracle arithmetic runs in f64. Model losses hold every ReLU
+mask at the base point, so a step never crosses a kink the tape's
+derivative does not see.
 
 Error metric used throughout: max_i |a_i - b_i| / (1 + |b_i|), an
 entrywise relative error with an additive floor so near-zero reference
@@ -138,26 +140,42 @@ def _loss_v(kind: str, y: ad.Variable, labels) -> ad.Variable:
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def model_lossfn(model: nn.Model, x: np.ndarray, loss: str = "sos", labels=None,
-                 training: bool = True):
-    """Array-path loss closure over parameter values, for FD oracles."""
+def model_lossfn(model: nn.Model, x: np.ndarray, loss: str = "sos", labels=None):
+    """Array-path loss closure over parameter values, for FD oracles.
+
+    Each ReLU is held at the mask z > 0 it has at the model's current
+    parameter values: the closure multiplies by that mask instead of
+    taking max(z, 0). An FD step that would carry a pre-activation across
+    0 thus stays on the smooth piece of the loss that holds the base
+    point, the piece the tape differentiates (relu'' = 0 there). The masks
+    come from the array path, so the oracle stays independent of the tape.
+    """
     x = np.asarray(x, dtype=np.float64)
+    base = {p.name: np.asarray(p.value, dtype=np.float64) for p in model.parameters()}
+    masks = []
+    z = x
+    for layer in model.layers:
+        masks.append(z > 0 if isinstance(layer, nn.ReLU) else None)
+        z = layer.forward_np(z, base, training=True)
 
     def lossfn(values: dict[str, np.ndarray]) -> float:
-        return _loss_np(loss, model.forward_np(x, values, training=training), labels)
+        z = x
+        for layer, mask in zip(model.layers, masks):
+            z = layer.forward_np(z, values, training=True) if mask is None else z * mask
+        return _loss_np(loss, z, labels)
 
     return lossfn
 
 
 def tape_gradients(model: nn.Model, x: np.ndarray, loss: str = "sos", labels=None,
-                   training: bool = True, retain: bool = False):
+                   retain: bool = False):
     """One tape forward+backward; returns (grads by name, and with retain
     also the loss Variable and parameter-leaf env for curvature calls)."""
     graph = ad.Graph()
     with preserve_bn_stats(model):
         env = model.bind(graph)
         xv = graph.constant(np.asarray(x, dtype=model.parameters()[0].value.dtype))
-        y = model.forward_v(xv, env, training=training)
+        y = model.forward_v(xv, env)
         loss_var = _loss_v(loss, y, labels)
         grads_by_id = ad.backward(loss_var, retain_differentiable=retain)
     grads = {name: grads_by_id[var.id] for name, var in env.items()}
@@ -165,9 +183,9 @@ def tape_gradients(model: nn.Model, x: np.ndarray, loss: str = "sos", labels=Non
 
 
 def tape_hdiag(model: nn.Model, x: np.ndarray, name: str, loss: str = "sos",
-               labels=None, training: bool = True) -> np.ndarray:
+               labels=None) -> np.ndarray:
     """Channelwise curvature of one 1-D parameter via the double backward."""
-    _, loss_var, env = tape_gradients(model, x, loss, labels, training, retain=True)
+    _, loss_var, env = tape_gradients(model, x, loss, labels, retain=True)
     return ad.hessian_diag_1d(loss_var, env[name])
 
 
@@ -175,9 +193,8 @@ def gradcheck(model: nn.Model, x: np.ndarray, h: float = FD_STEP,
               loss: str = "sos", labels=None) -> dict[str, float]:
     """Entrywise relative error between tape gradients and central
     differences, per parameter, in f64 training mode."""
-    grads, _, _ = tape_gradients(model, x, loss, labels, training=True)
-    fd = fd_gradient(model_lossfn(model, x, loss, labels, training=True),
-                     model.values(), h)
+    grads, _, _ = tape_gradients(model, x, loss, labels)
+    fd = fd_gradient(model_lossfn(model, x, loss, labels), model.values(), h)
     return {name: max_rel_err(grads[name], fd[name]) for name in fd}
 
 
@@ -255,9 +272,9 @@ def diagonality_report(model: nn.Model, x: np.ndarray, name: str,
     how closely the tape extraction matches the block's row sums. The
     extraction always equals the row sums; it equals the diagonal only when
     the off-diagonal mass vanishes (terminal-layer configurations)."""
-    lossfn = model_lossfn(model, x, loss, labels, training=True)
+    lossfn = model_lossfn(model, x, loss, labels)
     block = fd_hessian_block_1d(lossfn, model.values(), name, h)
-    extracted = tape_hdiag(model, x, name, loss, labels, training=True)
+    extracted = tape_hdiag(model, x, name, loss, labels)
     diag = np.diag(block)
     off = block - np.diag(diag)
     rowsums = block.sum(axis=1)

@@ -180,37 +180,27 @@ def fold2d(cols: np.ndarray, x_shape: tuple, kh: int, kw: int, pads: tuple) -> n
     return out
 
 
-def conv_pads(x_shape: tuple, w_shape: tuple, padding: str) -> tuple[tuple, int, int]:
-    """Checks a stride-1 convolution of an [N,Cin,H,W] input with a
-    [Cout,Cin,kh,kw] kernel and returns its zero padding (top, bottom,
-    left, right) and output extents OH, OW."""
+def conv_pads(x_shape: tuple, w_shape: tuple) -> tuple:
+    """Checks a stride-1 same-padded convolution of an [N,Cin,H,W] input
+    with a [Cout,Cin,kh,kw] kernel and returns its zero padding (top,
+    bottom, left, right); the output keeps H and W."""
     if len(x_shape) != 4 or len(w_shape) != 4:
         raise ShapeMismatchError(f"conv2d needs 4-D input/kernel, got {x_shape}, {w_shape}")
     if x_shape[1] != w_shape[1]:
         raise ShapeMismatchError(f"channel mismatch: input {x_shape[1]} vs kernel {w_shape[1]}")
-    _, _, h, w = x_shape
-    _, _, kh, kw = w_shape
-    if padding == "valid":
-        pads = (0, 0, 0, 0)
-    elif padding == "same":
-        pads = same_padding(kh, kw)
-    else:
-        raise ValueError(f"unknown padding '{padding}' (expected valid|same)")
-    if kh > h + pads[0] + pads[1] or kw > w + pads[2] + pads[3]:
-        raise ShapeMismatchError(
-            f"kernel {kh}x{kw} larger than padded input {h}x{w} ({padding})"
-        )
-    return pads, h + pads[0] + pads[1] - kh + 1, w + pads[2] + pads[3] - kw + 1
+    # same padding fits any kernel on a plane of at least one pixel
+    if 0 in x_shape[2:]:
+        raise ShapeMismatchError(f"conv2d needs a non-empty input plane, got {x_shape}")
+    return same_padding(w_shape[2], w_shape[3])
 
 
-def conv2d(x: np.ndarray, w: np.ndarray, padding: str = "valid") -> np.ndarray:
-    """Stride-1 cross-correlation of [N,Cin,H,W] with [Cout,Cin,kh,kw]:
-    W[Cout, Cin*kh*kw] @ unfold2d(x) per sample, a C-contiguous
-    [N,Cout,OH,OW]."""
+def conv2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Same-padded stride-1 cross-correlation of [N,Cin,H,W] with
+    [Cout,Cin,kh,kw]: W[Cout, Cin*kh*kw] @ unfold2d(x) per sample, a
+    C-contiguous [N,Cout,H,W]."""
     x = np.asarray(x)
     w = np.asarray(w)
-    pads, oh, ow = conv_pads(x.shape, w.shape, padding)
-    n = x.shape[0]
+    pads = conv_pads(x.shape, w.shape)
     cout, cin, kh, kw = w.shape
     out = np.matmul(w.reshape(cout, cin * kh * kw), unfold2d(x, kh, kw, pads))
-    return out.reshape(n, cout, oh, ow)
+    return out.reshape((x.shape[0], cout) + x.shape[2:])

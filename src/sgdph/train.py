@@ -190,7 +190,7 @@ def train(cfg: RunConfig) -> TrainResult:
 
                 graph = ad.Graph()
                 env = model.bind(graph)
-                logits = model.forward_v(graph.constant(xb), env, training=True)
+                logits = model.forward_v(graph.constant(xb), env)
                 loss_var = nn.softmax_cross_entropy(logits, yb)
                 loss = float(loss_var.value)
                 acc = float(np.mean(np.argmax(logits.value, axis=1) == yb))

@@ -169,9 +169,9 @@ def test_criterion_06_doubling_curvature_halves_direction():
 def test_criterion_07_weight_norm_reproduces_plain_convolution():
     t0 = time.perf_counter()
     rng = Rng(9)
-    conv = nn.Conv2d("c", 3, 4, 3, rng, padding="same")
+    conv = nn.Conv2d("c", 3, 4, 3, rng)
     w = conv.weight.value
-    wn = nn.WNConv("c", 3, 4, 3, Rng(10), padding="same")
+    wn = nn.WNConv("c", 3, 4, 3, Rng(10))
     wn.v.value = w.copy()
     wn.gamma.value = np.sqrt(np.sum(w * w, axis=(1, 2, 3)))
 

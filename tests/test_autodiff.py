@@ -120,12 +120,12 @@ class TestFirstOrder:
         w0 = rng.normal((3, 2, 3, 3))
 
         def build(p):
-            y = ad.conv2d(p.graph.constant(x), p, padding="same")
+            y = ad.conv2d(p.graph.constant(x), p)
             return ad.cmul(ad.sum_all(ad.mul(y, y)), 0.5)
 
         def f(wv):
             from sgdph.tensor import conv2d as conv_np
-            return float(0.5 * np.sum(conv_np(x, wv, padding="same") ** 2))
+            return float(0.5 * np.sum(conv_np(x, wv) ** 2))
 
         g = grad_of(build, w0)
         np.testing.assert_allclose(g, fd_grad(f, w0, h=1e-5), rtol=0, atol=1e-6)
@@ -241,7 +241,7 @@ def small_cnn_tape(model_name):
     starts = []
     for layer in model.layers:
         starts.append(len(graph.nodes))
-        h = layer.forward_v(h, env, training=True)
+        h = layer.forward_v(h, env)
     starts.append(len(graph.nodes))
     loss = nn.softmax_cross_entropy(h, np.array([0, 1, 2, 0]))
     ad.backward(loss, retain_differentiable=True)
@@ -332,7 +332,7 @@ class TestTrainingScale:
                                    dtype=dtype)
             graph = ad.Graph()
             env = model.bind(graph)
-            logits = model.forward_v(graph.constant(x.astype(dtype)), env, training=True)
+            logits = model.forward_v(graph.constant(x.astype(dtype)), env)
             loss = nn.softmax_cross_entropy(logits, labels[idx])
             ad.backward(loss, retain_differentiable=True)
             masks = [n.value > 0 for n in graph.nodes if n.op == "relu"]

@@ -98,6 +98,12 @@ class TestVerify:
         assert names == {"bn1.gamma", "bn1.beta"}
         assert all("diagonal_ok" not in r for r in doc["reports"])
 
+    @pytest.mark.parametrize("model,seed", [("cnn-bn", "0"), ("cnn-wn", "1")])
+    def test_cnn_audits_pass_at_kinked_points(self, model, seed, capsys):
+        # FD steps here cross ReLU kinks unless the masks are held fixed
+        assert cli(["verify", "--model", model, "--seed", seed]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+
     def test_param_restricts_report(self, capsys):
         assert cli(["verify", "--param", "bn1.gamma"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -9,10 +9,10 @@ from sgdph import nn
 from sgdph.tensor import Rng, ShapeMismatchError, conv2d as conv2d_np
 
 
-def run_v(model, x, training):
+def run_v(model, x):
     graph = ad.Graph()
     env = model.bind(graph)
-    return model.forward_v(graph.constant(x), env, training).value
+    return model.forward_v(graph.constant(x), env).value
 
 
 def bn_np(bn, x):
@@ -55,7 +55,7 @@ class TestBatchNorm:
         model = nn.Model("m", [bn])
         x = Rng(2).normal((9, 5))
         y_np = model.forward_np(x, training=True)
-        y_v = run_v(model, x, training=True)
+        y_v = run_v(model, x)
         np.testing.assert_allclose(y_v, y_np, rtol=1e-13, atol=1e-13)
 
     def test_running_stats_updated_only_by_tape_training_pass(self):
@@ -69,7 +69,7 @@ class TestBatchNorm:
 
         mu = x.mean(axis=0)
         var = x.var(axis=0)
-        run_v(model, x, training=True)
+        run_v(model, x)
         np.testing.assert_allclose(bn.running_mean, 0.1 * mu, rtol=1e-12, atol=0)
         np.testing.assert_allclose(bn.running_var, 0.9 + 0.1 * var, rtol=1e-12, atol=0)
 
@@ -81,8 +81,6 @@ class TestBatchNorm:
         x = Rng(4).normal((7, 2))
         expected = (x - bn.running_mean) / np.sqrt(bn.running_var + bn.eps_bn)
         np.testing.assert_allclose(model.forward_np(x, training=False), expected,
-                                   rtol=1e-13, atol=0)
-        np.testing.assert_allclose(run_v(model, x, training=False), expected,
                                    rtol=1e-13, atol=0)
 
     def test_rejects_3d_input(self):
@@ -134,7 +132,7 @@ class TestWeightNorm:
         layer = nn.WNConv("c", 2, 3, 3, Rng(8))
         model = nn.Model("m", [layer])
         x = Rng(9).normal((2, 2, 6, 6))
-        np.testing.assert_allclose(run_v(model, x, True), model.forward_np(x, training=True),
+        np.testing.assert_allclose(run_v(model, x), model.forward_np(x, training=True),
                                    rtol=1e-12, atol=1e-12)
 
 
@@ -147,7 +145,7 @@ class TestLinearConv:
         np.testing.assert_array_equal(y, [[11.0, 22.0]])
 
     def test_conv_bias_is_per_channel(self):
-        layer = nn.Conv2d("c", 1, 2, 3, Rng(1), padding="same")
+        layer = nn.Conv2d("c", 1, 2, 3, Rng(1))
         x = np.zeros((1, 1, 4, 4))
         values = {"c.weight": np.zeros((2, 1, 3, 3)), "c.bias": np.array([1.5, -2.0])}
         y = layer.forward_np(x, values, training=True)
@@ -155,10 +153,10 @@ class TestLinearConv:
         np.testing.assert_array_equal(y[0, 1], np.full((4, 4), -2.0))
 
     def test_conv_paths_agree(self):
-        layer = nn.Conv2d("c", 2, 3, 3, Rng(2), padding="valid")
+        layer = nn.Conv2d("c", 2, 3, 3, Rng(2))
         model = nn.Model("m", [layer])
         x = Rng(3).normal((2, 2, 6, 6))
-        np.testing.assert_allclose(run_v(model, x, True), model.forward_np(x, training=True),
+        np.testing.assert_allclose(run_v(model, x), model.forward_np(x, training=True),
                                    rtol=1e-12, atol=1e-12)
 
     def test_conv_bn_relu_activations_are_c_contiguous(self):
@@ -166,13 +164,13 @@ class TestLinearConv:
         # reductions over (0, 2, 3) and every elementwise op see one layout
         x = Rng(5).normal((3, 2, 6, 5)).astype(np.float32)
         w = Rng(6).normal((4, 2, 3, 3)).astype(np.float32)
-        assert conv2d_np(x, w, padding="same").flags.c_contiguous
+        assert conv2d_np(x, w).flags.c_contiguous
         graph = ad.Graph()
-        y = ad.conv2d(graph.constant(x), graph.variable(w, requires_grad=True), padding="same")
+        y = ad.conv2d(graph.constant(x), graph.variable(w, requires_grad=True))
         assert y.value.flags.c_contiguous
         model = nn.Model("m", [nn.Conv2d("c", 2, 4, 3, Rng(7), np.float32),
                                nn.BatchNorm("bn", 4, np.float32), nn.ReLU()])
-        assert run_v(model, x, True).flags.c_contiguous
+        assert run_v(model, x).flags.c_contiguous
         assert model.forward_np(x, training=True).flags.c_contiguous
 
     def test_default_bias_kind_is_channelwise(self):
@@ -270,7 +268,7 @@ class TestZoo:
         y_np = model.forward_np(x, training=True)
         expected_cols = 6 if name == "bn-terminal" else 3
         assert y_np.shape == (5, expected_cols)
-        np.testing.assert_allclose(run_v(model, x, True), y_np, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(run_v(model, x), y_np, rtol=1e-10, atol=1e-10)
 
     def test_parameter_kinds(self):
         model = nn.build_model("cnn-bn", Rng(0), in_shape=(1, 6, 6), n_classes=2)

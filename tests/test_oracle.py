@@ -4,7 +4,8 @@ single-step closed-form check."""
 import numpy as np
 import pytest
 
-from sgdph import nn, optim, oracle
+from sgdph import autodiff as ad
+from sgdph import cli, nn, optim, oracle
 from sgdph.tensor import Rng
 
 
@@ -171,6 +172,42 @@ class TestDiagonalityReport:
         rep = oracle.diagonality_report(model, x, "bn1.gamma", loss="ce", labels=labels)
         assert rep.extracted_vs_rowsum_relerr <= 1e-5
         assert rep.offdiag_mass_ratio > 0.01
+
+
+class TestKinkFreezing:
+    """At verify's cnn-bn seed-0 point the FD step of bn1.beta carries
+    pre-ReLU values across 0. Holding the masks at the base point removes
+    that false miss and still catches a tape that is slightly wrong."""
+
+    @staticmethod
+    def rowsum_err(model, x, labels, lossfn):
+        block = oracle.fd_hessian_block_1d(lossfn, model.values(), "bn1.beta")
+        extracted = oracle.tape_hdiag(model, x, "bn1.beta", "ce", labels)
+        return oracle.max_rel_err(extracted, block.sum(axis=1))
+
+    def test_frozen_masks_fix_the_false_miss_without_blinding_the_oracle(self, monkeypatch):
+        model, x, loss, labels = cli._verify_input("cnn-bn", 0)
+        assert loss == "ce"
+
+        def unfrozen(values):
+            return nn.softmax_cross_entropy_np(model.forward_np(x, values, training=True), labels)
+
+        frozen = oracle.model_lossfn(model, x, loss, labels)
+        assert self.rowsum_err(model, x, labels, unfrozen) > cli.ROWSUM_TOL
+        assert self.rowsum_err(model, x, labels, frozen) <= cli.ROWSUM_TOL
+
+        # a tape whose sqrt adjoint is 0.1% off must still fail the audit
+        sqrt = ad.sqrt
+
+        def scaled_sqrt(a):
+            out = sqrt(a)
+            if out.vjp is not None:
+                vjp = out.vjp
+                out.vjp = lambda g, want: [ad.cmul(v, 1.001) for v in vjp(g, want)]
+            return out
+
+        monkeypatch.setattr(ad, "sqrt", scaled_sqrt)
+        assert self.rowsum_err(model, x, labels, frozen) > cli.ROWSUM_TOL
 
 
 class TestNewtonCheck:
