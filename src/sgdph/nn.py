@@ -5,9 +5,10 @@ the tensor kernels: `forward_v` builds tape Variables for training and
 curvature extraction, `forward_np` evaluates plain arrays so the
 finite-difference oracles never touch the adjoint machinery.
 
-Parameter tagging drives the optimizer split: batch-norm scale/shift,
-weight-norm lengths, and conv biases are "channelwise-1d" and receive
-second-order updates; weight matrices stay "dense".
+Parameter tagging drives the optimizer split: batch-norm scale/shift and
+the weight-norm conv's lengths and biases are "channelwise-1d" and
+receive second-order updates; weight matrices stay "dense". Conv2d has
+no bias, because each one feeds a BatchNorm that would cancel it.
 """
 
 from __future__ import annotations
@@ -48,11 +49,6 @@ def _kaiming_uniform(rng: Rng, shape: tuple, fan_in: int, dtype) -> np.ndarray:
     return rng.uniform(-bound, bound, shape, dtype=dtype)
 
 
-def _add_channel_bias(y: ad.Variable, b: ad.Variable) -> ad.Variable:
-    """y + b over the channel axis of an [N,C,H,W] activation."""
-    return ad.add(y, ad.broadcast_to(ad.reshape(b, (1, y.shape[1], 1, 1)), y.shape))
-
-
 class Layer:
     def params(self) -> list[Parameter]:
         return []
@@ -85,8 +81,8 @@ class Linear(Layer):
 
 
 class Conv2d(Layer):
-    """3x3-style stride-1 convolution; bias is channelwise so the
-    optimizer's second-order branch covers it."""
+    """Same-padded stride-1 convolution without a bias: every Conv2d feeds
+    a BatchNorm, whose mean subtraction would cancel one."""
 
     def __init__(self, name, c_in, c_out, k, rng, dtype=np.float64):
         self.name = name
@@ -94,18 +90,15 @@ class Conv2d(Layer):
         self.weight = Parameter(
             f"{name}.weight", _kaiming_uniform(rng, (c_out, c_in, k, k), fan_in, dtype), ad.DENSE
         )
-        self.bias = Parameter(f"{name}.bias", np.zeros(c_out, dtype=dtype), ad.CHANNELWISE_1D)
 
     def params(self):
-        return [self.weight, self.bias]
+        return [self.weight]
 
     def forward_v(self, x, env):
-        y = ad.conv2d(x, env[self.weight.name])
-        return _add_channel_bias(y, env[self.bias.name])
+        return ad.conv2d(x, env[self.weight.name])
 
     def forward_np(self, x, values, training):
-        y = conv2d_np(x, values[self.weight.name])
-        return y + values[self.bias.name].reshape(1, -1, 1, 1)
+        return conv2d_np(x, values[self.weight.name])
 
 
 class WNConv(Layer):
@@ -136,9 +129,9 @@ class WNConv(Layer):
         return ad.mul(ad.broadcast_to(ad.reshape(scale, (cout, 1, 1, 1)), v.shape), v)
 
     def forward_v(self, x, env):
-        w = self.reparam_v(env)
-        y = ad.conv2d(x, w)
-        return _add_channel_bias(y, env[self.bias.name])
+        y = ad.conv2d(x, self.reparam_v(env))
+        b = ad.reshape(env[self.bias.name], (1, y.shape[1], 1, 1))
+        return ad.add(y, ad.broadcast_to(b, y.shape))
 
     def forward_np(self, x, values, training):
         w = wn_reparam_values(values[self.v.name], values[self.gamma.name], self.name)

@@ -145,9 +145,10 @@ class TestLinearConv:
         np.testing.assert_array_equal(y, [[11.0, 22.0]])
 
     def test_conv_bias_is_per_channel(self):
-        layer = nn.Conv2d("c", 1, 2, 3, Rng(1))
+        layer = nn.WNConv("c", 1, 2, 3, Rng(1))
         x = np.zeros((1, 1, 4, 4))
-        values = {"c.weight": np.zeros((2, 1, 3, 3)), "c.bias": np.array([1.5, -2.0])}
+        values = {"c.v": layer.v.value, "c.gamma": layer.gamma.value,
+                  "c.bias": np.array([1.5, -2.0])}
         y = layer.forward_np(x, values, training=True)
         np.testing.assert_array_equal(y[0, 0], np.full((4, 4), 1.5))
         np.testing.assert_array_equal(y[0, 1], np.full((4, 4), -2.0))
@@ -174,7 +175,7 @@ class TestLinearConv:
         assert model.forward_np(x, training=True).flags.c_contiguous
 
     def test_default_bias_kind_is_channelwise(self):
-        layer = nn.Conv2d("c", 1, 2, 3, Rng(4))
+        layer = nn.WNConv("c", 1, 2, 3, Rng(4))
         assert layer.bias.kind == ad.CHANNELWISE_1D
 
 
@@ -274,15 +275,16 @@ class TestZoo:
         model = nn.build_model("cnn-bn", Rng(0), in_shape=(1, 6, 6), n_classes=2)
         kinds = {p.name: p.kind for p in model.parameters()}
         assert kinds["conv1.weight"] == ad.DENSE
-        assert kinds["conv1.bias"] == ad.CHANNELWISE_1D
-        assert kinds["bn1.gamma"] == ad.CHANNELWISE_1D
-        assert kinds["bn1.beta"] == ad.CHANNELWISE_1D
         assert kinds["fc.weight"] == ad.DENSE
+        # the conv layers carry no bias: each feeds a BatchNorm
+        assert [n for n, k in kinds.items() if k == ad.CHANNELWISE_1D] == [
+            "bn1.gamma", "bn1.beta", "bn2.gamma", "bn2.beta"]
 
     def test_wn_zoo_gamma_is_channelwise(self):
         model = nn.build_model("cnn-wn", Rng(0), in_shape=(1, 6, 6), n_classes=2)
         kinds = {p.name: p.kind for p in model.parameters()}
         assert kinds["conv1.gamma"] == ad.CHANNELWISE_1D
+        assert kinds["conv1.bias"] == ad.CHANNELWISE_1D
         assert kinds["conv1.v"] == ad.DENSE
 
 
