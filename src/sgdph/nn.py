@@ -7,8 +7,7 @@ finite-difference oracles never touch the adjoint machinery.
 
 Parameter tagging drives the optimizer split: batch-norm scale/shift and
 the weight-norm conv's lengths and biases are "channelwise-1d" and
-receive second-order updates; weight matrices stay "dense". Conv2d has
-no bias, because each one feeds a BatchNorm that would cancel it.
+receive second-order updates; weight matrices stay "dense".
 """
 
 from __future__ import annotations

@@ -141,15 +141,10 @@ def _loss_v(kind: str, y: ad.Variable, labels) -> ad.Variable:
 
 
 def model_lossfn(model: nn.Model, x: np.ndarray, loss: str = "sos", labels=None):
-    """Array-path loss closure over parameter values, for FD oracles.
-
-    Each ReLU is held at the mask z > 0 it has at the model's current
-    parameter values: the closure multiplies by that mask instead of
-    taking max(z, 0). An FD step that would carry a pre-activation across
-    0 thus stays on the smooth piece of the loss that holds the base
-    point, the piece the tape differentiates (relu'' = 0 there). The masks
-    come from the array path, so the oracle stays independent of the tape.
-    """
+    """Array-path loss closure over parameter values, for FD oracles. Each
+    ReLU is held at its mask z > 0 at the model's current values, so an FD
+    step that carries a pre-activation across 0 stays on the smooth piece
+    the tape differentiates there (relu'' = 0)."""
     x = np.asarray(x, dtype=np.float64)
     base = {p.name: np.asarray(p.value, dtype=np.float64) for p in model.parameters()}
     masks = []

@@ -265,7 +265,7 @@ class TestConePruning:
     def test_cone_sweep_bitwise_equals_full_sweep(self, model_name):
         model, graph, env, loss, _ = small_cnn_tape(model_name)
         one_d = [p.name for p in model.parameters() if p.kind == ad.CHANNELWISE_1D]
-        assert len(one_d) == {"cnn-bn": 4, "cnn-wn": 4}[model_name]
+        assert len(one_d) == 4
         for name in one_d:
             h = ad.hessian_diag_1d(loss, env[name])
             ref = full_mask_hdiag(graph, env[name])
