@@ -16,6 +16,10 @@ nodes between p and g_p that depend on p, since no other node's adjoint
 can reach p. Skipping the rest (the activations upstream of p above all)
 leaves every curvature vector bit for bit unchanged.
 
+The primitives do only what the layers ask of them. add, sub and mul take
+operands of equal shape; a layer broadcasts explicitly with reshape and
+broadcast_to, which keeps the rank. conv2d is same-padded with stride 1.
+
 Tapes are define-by-run and single-use: build a fresh Graph per step.
 """
 
@@ -23,14 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import (
-    ShapeMismatchError,
-    broadcast_shape,
-    conv_pads,
-    elementwise,
-    fold2d,
-    unfold2d,
-)
+from .tensor import ShapeMismatchError, check_conv, elementwise, fold2d, unfold2d
 from .tensor import matmul as _matmul_np
 
 CHANNELWISE_1D = "channelwise-1d"
@@ -127,19 +124,13 @@ def _op(graph: Graph, value, parents, vjp, op: str) -> Variable:
 # backward pass stays differentiable
 
 
-def _align(a: Variable, b: Variable) -> tuple[Variable, Variable]:
-    if a.shape == b.shape:
-        return a, b
-    s = broadcast_shape(a.shape, b.shape)
-    if a.shape != s:
-        a = broadcast_to(a, s)
-    if b.shape != s:
-        b = broadcast_to(b, s)
-    return a, b
+def _same_shape(op: str, a: Variable, b: Variable) -> None:
+    if a.shape != b.shape:
+        raise ShapeMismatchError(f"{op} needs equal shapes, got {a.shape} and {b.shape}")
 
 
 def add(a: Variable, b: Variable) -> Variable:
-    a, b = _align(a, b)
+    _same_shape("add", a, b)
 
     def vjp(g, want):
         return [g if want[0] else None, g if want[1] else None]
@@ -148,7 +139,7 @@ def add(a: Variable, b: Variable) -> Variable:
 
 
 def sub(a: Variable, b: Variable) -> Variable:
-    a, b = _align(a, b)
+    _same_shape("sub", a, b)
 
     def vjp(g, want):
         return [g if want[0] else None, neg(g) if want[1] else None]
@@ -164,7 +155,7 @@ def neg(a: Variable) -> Variable:
 
 
 def mul(a: Variable, b: Variable) -> Variable:
-    a, b = _align(a, b)
+    _same_shape("mul", a, b)
 
     def vjp(g, want):
         return [
@@ -289,10 +280,15 @@ def reshape(a: Variable, shape: tuple) -> Variable:
 
 
 def broadcast_to(a: Variable, shape: tuple) -> Variable:
+    """Repeats a's extent-1 axes up to `shape`, which has a's rank; numpy
+    rejects any other mismatch."""
     src = a.shape
+    if len(shape) != len(src):
+        raise ShapeMismatchError(f"broadcast_to keeps the rank: cannot broadcast {src} to {shape}")
 
     def vjp(g, want):
-        return [_sum_to(g, src)]
+        axes = tuple(i for i, (s, t) in enumerate(zip(src, shape)) if s != t)
+        return [reshape(sum_axes(g, axes), src) if axes else g]
 
     return _op(a.graph, np.broadcast_to(a.value, shape), (a,), vjp, "broadcast")
 
@@ -319,34 +315,21 @@ def mean_axes(a: Variable, axes: tuple) -> Variable:
     return cmul(sum_axes(a, axes), 1.0 / count)
 
 
-def _sum_to(g: Variable, shape: tuple) -> Variable:
-    """Reduce g back to `shape` by summing broadcast axes; adjoint of
-    broadcast_to."""
-    if g.shape == shape:
-        return g
-    ndiff = g.value.ndim - len(shape)
-    axes = list(range(ndiff))
-    for i, d in enumerate(shape):
-        if d == 1 and g.shape[i + ndiff] != 1:
-            axes.append(i + ndiff)
-    out = sum_axes(g, tuple(axes)) if axes else g
-    return reshape(out, shape) if out.shape != shape else out
-
-
-def unfold(x: Variable, kh: int, kw: int, pads: tuple) -> Variable:
+def unfold(x: Variable, kh: int, kw: int) -> Variable:
+    """Same-padded stride-1 patch matrices (tensor.unfold2d)."""
     src = x.shape
 
     def vjp(g, want):
-        return [fold(g, src, kh, kw, pads)]
+        return [fold(g, src, kh, kw)]
 
-    return _op(x.graph, unfold2d(x.value, kh, kw, pads), (x,), vjp, "unfold")
+    return _op(x.graph, unfold2d(x.value, kh, kw), (x,), vjp, "unfold")
 
 
-def fold(cols: Variable, x_shape: tuple, kh: int, kw: int, pads: tuple) -> Variable:
+def fold(cols: Variable, x_shape: tuple, kh: int, kw: int) -> Variable:
     def vjp(g, want):
-        return [unfold(g, kh, kw, pads)]
+        return [unfold(g, kh, kw)]
 
-    return _op(cols.graph, fold2d(cols.value, x_shape, kh, kw, pads), (cols,), vjp, "fold")
+    return _op(cols.graph, fold2d(cols.value, x_shape, kh, kw), (cols,), vjp, "fold")
 
 
 def conv2d(x: Variable, w: Variable) -> Variable:
@@ -355,10 +338,10 @@ def conv2d(x: Variable, w: Variable) -> Variable:
     pairs above. The kernel matrix enters as a broadcast view over the
     batch, whose adjoint sums the per-sample kernel gradients; the result
     is a C-contiguous [N,Cout,H,W]."""
-    pads = conv_pads(x.shape, w.shape)
+    check_conv(x.shape, w.shape)
     n = x.shape[0]
     cout, cin, kh, kw = w.shape
-    cols = unfold(x, kh, kw, pads)
+    cols = unfold(x, kh, kw)
     k = cin * kh * kw
     wmat = broadcast_to(reshape(w, (1, cout, k)), (n, cout, k))
     return reshape(matmul(wmat, cols), (n, cout) + x.shape[2:])

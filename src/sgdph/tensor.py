@@ -1,11 +1,13 @@
 """Dense tensor kernels shared by the tape, the layers, and the oracles.
 
 Tensors are plain numpy arrays in NCHW row-major layout, f32 for training
-runs and f64 for every oracle comparison. A convolution is lowered per
-sample: unfold2d turns [N,C,H,W] into patch matrices [N, C*kh*kw, OH*OW]
-and one batched matmul with the [Cout, C*kh*kw] kernel gives
-[N, Cout, OH*OW], which is already NCHW, so no activation is a strided view.
-All kernels here are pure: no input is ever mutated.
+runs and f64 for every oracle comparison. Every convolution is same-padded
+with stride 1, and the kernels derive that padding from the kernel size.
+A convolution is lowered per sample: unfold2d turns [N,C,H,W] into patch
+matrices [N, C*kh*kw, H*W] and one batched matmul with the [Cout, C*kh*kw]
+kernel gives [N, Cout, H*W], which is already NCHW, so no activation is a
+strided view. Nothing here broadcasts implicitly. All kernels here are
+pure: no input is ever mutated.
 """
 
 from __future__ import annotations
@@ -46,22 +48,6 @@ class Rng:
 
     def permutation(self, n):
         return self._gen.permutation(n)
-
-
-def broadcast_shape(s1: tuple, s2: tuple) -> tuple:
-    """Broadcast rule: align trailing axes; mismatched extents only legal
-    when one of them is 1."""
-    out = []
-    for a, b in zip(reversed(s1), reversed(s2)):
-        if a == b or b == 1:
-            out.append(a)
-        elif a == 1:
-            out.append(b)
-        else:
-            raise ShapeMismatchError(f"cannot broadcast shapes {s1} and {s2}")
-    longer = s1 if len(s1) >= len(s2) else s2
-    out.extend(longer[: len(longer) - len(out)][::-1])
-    return tuple(reversed(out))
 
 
 _UNARY = {
@@ -126,64 +112,54 @@ def moments(x: np.ndarray, axes: tuple) -> tuple[np.ndarray, np.ndarray]:
     return mean, var
 
 
-def same_padding(kh: int, kw: int) -> tuple[int, int, int, int]:
-    """Asymmetric zero padding that keeps H and W under a stride-1 kernel."""
-    top = (kh - 1) // 2
-    left = (kw - 1) // 2
-    return top, kh - 1 - top, left, kw - 1 - left
-
-
-def _taps(kh: int, kw: int, pads: tuple, h: int, w: int):
-    """Per kernel tap (u, v) of a stride-1 convolution over an unpadded
-    [..,H,W] input: the row and column slices of the input window and of
-    the output window it reads into. Output pixel (i, j) reads input pixel
-    (i + u - top, j + v - left); the windows keep only the pixels that fall
-    inside the input, so the padding is never materialised."""
-    pt, pb, pl, pr = pads
-    oh, ow = h + pt + pb - kh + 1, w + pl + pr - kw + 1
+def _taps(kh: int, kw: int, h: int, w: int):
+    """Per kernel tap (u, v) of a same-padded stride-1 convolution over an
+    unpadded [..,H,W] input: the row and column slices of the input window
+    and of the output window it reads into. The padding is top (kh-1)//2
+    and left (kw-1)//2, the rest at the bottom and right, so the output is
+    H x W. Output pixel (i, j) reads input pixel (i + u - top, j + v - left);
+    the windows keep only the pixels that fall inside the input, so the
+    padding is never materialised."""
+    pt, pl = (kh - 1) // 2, (kw - 1) // 2
     for u in range(kh):
-        i0, i1 = max(0, pt - u), min(oh, h + pt - u)
+        i0, i1 = max(0, pt - u), min(h, h + pt - u)
         for v in range(kw):
-            j0, j1 = max(0, pl - v), min(ow, w + pl - v)
+            j0, j1 = max(0, pl - v), min(w, w + pl - v)
             yield (u, v, slice(i0 + u - pt, i1 + u - pt), slice(j0 + v - pl, j1 + v - pl),
                    slice(i0, i1), slice(j0, j1))
 
 
-def unfold2d(x: np.ndarray, kh: int, kw: int, pads: tuple) -> np.ndarray:
-    """Per-sample im2col: [N,C,H,W] -> [N, C*kh*kw, OH*OW], stride 1.
+def unfold2d(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Per-sample im2col of a same-padded stride-1 convolution:
+    [N,C,H,W] -> [N, C*kh*kw, H*W].
 
-    Column p = oh*OW + ow of sample n holds the receptive field of output
+    Column p = oh*W + ow of sample n holds the receptive field of output
     pixel (oh, ow), row c*kh*kw + u*kw + v its tap (c, u, v); taps that fall
     in the zero padding read 0. Built by one slab copy per tap, each running
-    along OW.
+    along W.
     """
     n, c, h, w = x.shape
-    pt, pb, pl, pr = pads
-    oh, ow = h + pt + pb - kh + 1, w + pl + pr - kw + 1
-    cols = np.zeros((n, c, kh, kw, oh, ow), dtype=x.dtype)
-    for u, v, si, sj, oi, oj in _taps(kh, kw, pads, h, w):
+    cols = np.zeros((n, c, kh, kw, h, w), dtype=x.dtype)
+    for u, v, si, sj, oi, oj in _taps(kh, kw, h, w):
         cols[:, :, u, v, oi, oj] = x[:, :, si, sj]
-    return cols.reshape(n, c * kh * kw, oh * ow)
+    return cols.reshape(n, c * kh * kw, h * w)
 
 
-def fold2d(cols: np.ndarray, x_shape: tuple, kh: int, kw: int, pads: tuple) -> np.ndarray:
-    """Adjoint of unfold2d: scatter-add [N, C*kh*kw, OH*OW] patch columns
+def fold2d(cols: np.ndarray, x_shape: tuple, kh: int, kw: int) -> np.ndarray:
+    """Adjoint of unfold2d: scatter-add [N, C*kh*kw, H*W] patch columns
     back onto a C-contiguous [N,C,H,W], one tap at a time in (u, v) order.
     Contributions that unfold2d read from the padding are dropped."""
     n, c, h, w = x_shape
-    pt, pb, pl, pr = pads
-    oh, ow = h + pt + pb - kh + 1, w + pl + pr - kw + 1
-    patches = cols.reshape(n, c, kh, kw, oh, ow)
+    patches = cols.reshape(n, c, kh, kw, h, w)
     out = np.zeros(x_shape, dtype=cols.dtype)
-    for u, v, si, sj, oi, oj in _taps(kh, kw, pads, h, w):
+    for u, v, si, sj, oi, oj in _taps(kh, kw, h, w):
         out[:, :, si, sj] += patches[:, :, u, v, oi, oj]
     return out
 
 
-def conv_pads(x_shape: tuple, w_shape: tuple) -> tuple:
+def check_conv(x_shape: tuple, w_shape: tuple) -> None:
     """Checks a stride-1 same-padded convolution of an [N,Cin,H,W] input
-    with a [Cout,Cin,kh,kw] kernel and returns its zero padding (top,
-    bottom, left, right); the output keeps H and W."""
+    with a [Cout,Cin,kh,kw] kernel; the output keeps H and W."""
     if len(x_shape) != 4 or len(w_shape) != 4:
         raise ShapeMismatchError(f"conv2d needs 4-D input/kernel, got {x_shape}, {w_shape}")
     if x_shape[1] != w_shape[1]:
@@ -191,7 +167,6 @@ def conv_pads(x_shape: tuple, w_shape: tuple) -> tuple:
     # same padding fits any kernel on a plane of at least one pixel
     if 0 in x_shape[2:]:
         raise ShapeMismatchError(f"conv2d needs a non-empty input plane, got {x_shape}")
-    return same_padding(w_shape[2], w_shape[3])
 
 
 def conv2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -200,7 +175,7 @@ def conv2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     C-contiguous [N,Cout,H,W]."""
     x = np.asarray(x)
     w = np.asarray(w)
-    pads = conv_pads(x.shape, w.shape)
+    check_conv(x.shape, w.shape)
     cout, cin, kh, kw = w.shape
-    out = np.matmul(w.reshape(cout, cin * kh * kw), unfold2d(x, kh, kw, pads))
+    out = np.matmul(w.reshape(cout, cin * kh * kw), unfold2d(x, kh, kw))
     return out.reshape((x.shape[0], cout) + x.shape[2:])

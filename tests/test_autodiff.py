@@ -390,6 +390,21 @@ class TestErrors:
         with pytest.raises(ad.MissingDifferentiableGraphError):
             ad.backward(loss)
 
+    def test_shape_mismatch_names_both_shapes(self):
+        # binary tape ops take equal shapes and never broadcast implicitly
+        graph = ad.Graph()
+        a = graph.variable(np.ones((2, 1)), requires_grad=True)
+        b = graph.variable(np.ones((1, 3)), requires_grad=True)
+        for op in (ad.add, ad.sub, ad.mul):
+            with pytest.raises(ShapeMismatchError, match=r"\(2, 1\) and \(1, 3\)"):
+                op(a, b)
+
+    def test_broadcast_to_keeps_the_rank(self):
+        graph = ad.Graph()
+        leaf = graph.variable(np.ones(3), requires_grad=True)
+        with pytest.raises(ShapeMismatchError, match=r"\(3,\).*\(5, 3\)"):
+            ad.broadcast_to(leaf, (5, 3))
+
     def test_cadd_rejects_widening_constant(self):
         graph = ad.Graph()
         leaf = graph.variable(np.array([1.0, 2.0]), requires_grad=True)
