@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .optim import SgdPhConfig
+from .optim import SgdPhConfig, decayed_tau
 
 
 class ConfigError(ValueError):
@@ -62,10 +62,21 @@ class RunConfig:
             raise ConfigError("epochs and batch_size must be positive")
         if not self.eps > 0:
             raise ConfigError(f"eps must be positive in training configs, got {self.eps}")
+        if not 0 < self.lr_decay_factor <= 1:
+            raise ConfigError(f"lr_decay_factor must lie in (0,1], got {self.lr_decay_factor}")
         try:
             self.opt_config()
         except ValueError as e:
             raise ConfigError(str(e)) from None
+        # the schedule only shrinks tau, so its last epoch holds the smallest
+        last = self.epochs - 1
+        try:
+            self.opt_config(tau=decayed_tau(self.tau, last, self.decay_every,
+                                            self.lr_decay_factor))
+        except ValueError as e:
+            raise ConfigError(
+                f"lr_decay_factor={self.lr_decay_factor} every {self.decay_every} epochs "
+                f"decays tau by epoch {last}: {e}") from None
 
     def opt_config(self, tau: float | None = None) -> SgdPhConfig:
         """The optimizer hyperparameters, with tau replaced by a scheduled

@@ -79,6 +79,8 @@ def load_idx(train_images: str, train_labels: str, test_images: str, test_labels
                 f"count mismatch: {ip} holds {images.shape[0]} images but "
                 f"{lp} holds {labels.shape[0]} labels"
             )
+        if images.shape[0] == 0:
+            raise IdxFormatError(f"{ip} holds no images")
         if subset_n > 0:
             images = images[:subset_n]
             labels = labels[:subset_n]
@@ -114,6 +116,10 @@ def gen_blobs(n: int = 1000, dims: int = 2, classes: int = 4, noise: float = 0.5
               seed: int = 0) -> Dataset:
     """Seeded Gaussian clusters at distinct axis-aligned centers, split
     80/20 train/test by fixed stride (every 5th example is test)."""
+    if n < 5:
+        raise ValueError(f"need n >= 5 so the test split is not empty, got n={n}")
+    if dims < 1:
+        raise ValueError(f"need dims >= 1, got dims={dims}")
     if classes < 2:
         raise ValueError(f"need at least 2 classes, got {classes}")
     if noise < 0:

@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from sgdph.cli import cli
+from sgdph.data import write_idx
 
 
 def write_cfg(tmp_path, name="run.cfg", **fields):
@@ -73,6 +75,47 @@ class TestTrain:
         assert rc == 1
         assert "alpha" in capsys.readouterr().err
         assert metrics.read_text() == '{"epoch":0}\n'
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_bad_decay_schedule_fails_before_metrics_open(self, tmp_path, capsys):
+        metrics = tmp_path / "m.jsonl"
+        metrics.write_text('{"epoch":0}\n')
+        rc = cli(["train", "--set", "lr_decay_factor=0", "--set", "epochs=2",
+                  "--set", "lr_decay_every=1", "--set", f"out.metrics={metrics}",
+                  "--set", f"out.checkpoint={tmp_path / 'm.ckpt'}"])
+        assert rc == 1
+        assert "lr_decay_factor" in capsys.readouterr().err
+        assert metrics.read_text() == '{"epoch":0}\n'
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("key,value,named", [("dataset.n", "4", "n=4"),
+                                                 ("dataset.dims", "0", "dims=0")])
+    def test_bad_blobs_size_fails_before_metrics_open(self, tmp_path, capsys, key, value,
+                                                      named):
+        rc = cli(["train", "--set", f"{key}={value}", "--set", "epochs=1",
+                  "--set", f"out.metrics={tmp_path / 'm.jsonl'}",
+                  "--set", f"out.checkpoint={tmp_path / 'm.ckpt'}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "m.jsonl").exists()
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_empty_idx_split_names_the_file(self, tmp_path, capsys):
+        paths = {}
+        for split, n in (("train", 4), ("test", 0)):
+            paths[f"{split}_images"] = tmp_path / f"{split}-images.idx"
+            paths[f"{split}_labels"] = tmp_path / f"{split}-labels.idx"
+            write_idx(str(paths[f"{split}_images"]), np.zeros((n, 4, 4), dtype=np.uint8))
+            write_idx(str(paths[f"{split}_labels"]), np.zeros(n, dtype=np.uint8))
+        sets = [f"dataset.{key}={path}" for key, path in paths.items()]
+        sets += ["dataset.kind=idx", "model=cnn-bn", "epochs=1",
+                 f"out.metrics={tmp_path / 'm.jsonl'}", f"out.checkpoint={tmp_path / 'm.ckpt'}"]
+        assert cli(["train"] + [arg for s in sets for arg in ("--set", s)]) == 1
+        err = capsys.readouterr().err
+        assert f"{paths['test_images']} holds no images" in err
+        assert not (tmp_path / "m.jsonl").exists()
         assert not (tmp_path / "m.ckpt").exists()
 
     def test_missing_config_file(self, capsys):

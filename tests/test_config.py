@@ -88,6 +88,11 @@ class TestValidation:
         ({"beta_m": 0.0}, "beta_m"),
         ({"eta": -1.0}, "eta"),
         ({"tau_so": 0.0}, "tau_so"),
+        ({"lr_decay_factor": 0.0}, "lr_decay_factor"),
+        ({"lr_decay_factor": -1.0}, "lr_decay_factor"),
+        ({"lr_decay_factor": 1.5}, "lr_decay_factor"),
+        # 0.01 * 0.1**322 underflows to 0.0
+        ({"epochs": 400, "lr_decay_every": 1}, r"decays tau by epoch 399: tau must be positive"),
     ])
     def test_rejected_fields(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):

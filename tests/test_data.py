@@ -125,6 +125,11 @@ class TestBlobs:
             data.gen_blobs(10, classes=1)
         with pytest.raises(ValueError, match="noise"):
             data.gen_blobs(10, noise=-0.1)
+        # fewer than 5 examples leave the every-5th test split empty
+        with pytest.raises(ValueError, match="n=4"):
+            data.gen_blobs(4)
+        with pytest.raises(ValueError, match="dims=0"):
+            data.gen_blobs(10, dims=0)
 
     def test_label_balance(self):
         ds = data.gen_blobs(200, classes=4)
