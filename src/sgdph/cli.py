@@ -10,7 +10,7 @@ import dataclasses
 import json
 import sys
 
-from . import nn, oracle, train as training
+from . import autodiff as ad, nn, oracle, train as training
 from .config import ConfigError, load_config
 from .data import IdxFormatError
 from .tensor import Rng
@@ -72,7 +72,7 @@ def _verify_input(model_name: str, seed: int):
 
 def _cmd_verify(args) -> int:
     model, x, loss, labels = _verify_input(args.model, args.seed)
-    one_d = [p.name for p in model.parameters() if p.kind == "channelwise-1d"]
+    one_d = [p.name for p in model.parameters() if p.kind == ad.CHANNELWISE_1D]
     if args.param:
         if args.param not in one_d:
             print(f"no 1-D parameter named {args.param!r} in {args.model}", file=sys.stderr)
