@@ -6,8 +6,7 @@ with stride 1, and the kernels derive that padding from the kernel size.
 A convolution is lowered per sample: unfold2d turns [N,C,H,W] into patch
 matrices [N, C*kh*kw, H*W] and one batched matmul with the [Cout, C*kh*kw]
 kernel gives [N, Cout, H*W], which is already NCHW, so no activation is a
-strided view. Nothing here broadcasts implicitly. All kernels here are
-pure: no input is ever mutated.
+strided view. All kernels here are pure: no input is ever mutated.
 """
 
 from __future__ import annotations
