@@ -11,12 +11,14 @@ Per step and 1-D parameter of curvature vector h and gradient g:
     w   -= tau * (d + eta w)              update with decoupled decay
 
 Dense parameters skip the first two lines and use d = m_g. Both momentum
-recursions place the weight on the NEW term.
+recursions place the weight on the NEW term. `direction` computes these
+lines for one parameter and writes nothing; a step commits every
+parameter's results at once, or none of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +63,6 @@ class SgdPhConfig:
 class ParamState:
     m_g: np.ndarray
     m_h: np.ndarray | None = None
-    updates: int = 0
 
 
 class OptState:
@@ -79,25 +80,26 @@ class OptState:
         return self.slots[name]
 
 
-def rectify(h: np.ndarray, eps: float) -> np.ndarray:
-    """Entrywise |h| + eps: the positive-definite surrogate of a possibly
-    indefinite curvature vector."""
-    return np.abs(h) + eps
-
-
 def _mix(old: np.ndarray, new: np.ndarray, weight_new: float) -> np.ndarray:
     return (1.0 - weight_new) * old + weight_new * new
 
 
-def update_grad_momentum(ps: ParamState, g: np.ndarray, beta_m: float) -> np.ndarray:
-    ps.m_g = _mix(ps.m_g, g, beta_m)
-    return ps.m_g
+def _check_finite(a: np.ndarray, what: str) -> None:
+    bad = ~np.isfinite(a)
+    if bad.any():
+        raise InvariantViolation(f"{what} not finite in {int(bad.sum())} of {bad.size} entries")
 
 
-def direction_1d(ps: ParamState, g: np.ndarray, h: np.ndarray, cfg: SgdPhConfig) -> np.ndarray:
-    """Updates both momenta of ps and returns the damped Newton direction; a
-    failing Hessian momentum raises before either slot is written."""
-    m_h = _mix(ps.m_h, rectify(h, cfg.eps), cfg.alpha)
+def direction(ps: ParamState, g: np.ndarray, h: np.ndarray | None, cfg: SgdPhConfig):
+    """The new momenta (m_g, m_h) of one parameter and its direction d,
+    computed from the slot ps without writing it. h=None marks a dense
+    parameter: its m_h passes through and d = m_g. Raises on a non-finite
+    gradient or a Hessian momentum that is not finite and positive."""
+    _check_finite(g, "gradient")
+    m_g = _mix(ps.m_g, g, cfg.beta_m)
+    if h is None:
+        return m_g, ps.m_h, m_g
+    m_h = _mix(ps.m_h, np.abs(h) + cfg.eps, cfg.alpha)
     # written so that NaN fails it: every comparison with NaN is False
     bad = ~(np.isfinite(m_h) & (m_h > 0))
     if bad.any():
@@ -107,55 +109,37 @@ def direction_1d(ps: ParamState, g: np.ndarray, h: np.ndarray, cfg: SgdPhConfig)
             f"channels (channel {i}: {m_h[i]:.3e}); "
             "non-finite curvature, or eps = 0 with zero curvature?"
         )
-    ps.m_h = m_h
-    m_g = update_grad_momentum(ps, g, cfg.beta_m)
-    return cfg.tau_so * m_g / m_h
-
-
-def direction_dense(ps: ParamState, g: np.ndarray, cfg: SgdPhConfig) -> np.ndarray:
-    return update_grad_momentum(ps, g, cfg.beta_m)
-
-
-def _check_finite(a: np.ndarray, what: str) -> None:
-    bad = ~np.isfinite(a)
-    if bad.any():
-        raise InvariantViolation(f"{what} not finite in {int(bad.sum())} of {bad.size} entries")
+    return m_g, m_h, cfg.tau_so * m_g / m_h
 
 
 def _step(params, grads: dict, hdiags: dict | None, cfg: SgdPhConfig,
           state: OptState) -> None:
-    """Updates every parameter or none. The first phase computes each
-    parameter's momenta and new value on a shallow copy of its slot (the
-    momentum updates rebind arrays, never write into them) and raises
-    before anything is committed: on a missing gradient or curvature, a
-    non-finite gradient or new value, or a failing Hessian momentum. The
-    second phase commits them all. hdiags=None treats every parameter as
-    dense."""
+    """Updates every parameter or none. The first loop stages each
+    parameter's momenta and new value, and raises before anything is
+    written: on a missing gradient or curvature, a non-finite gradient or
+    new value, or a failing Hessian momentum. The second loop commits them
+    all; the slots' old arrays are never written into. hdiags=None treats
+    every parameter as dense."""
     staged = []
     for p in params:
         if p.name not in grads:
             raise MissingUpdateError(f"no gradient supplied for parameter {p.name!r}")
-        one_d = hdiags is not None and p.kind == ad.CHANNELWISE_1D
-        if one_d and p.name not in hdiags:
-            raise MissingUpdateError(f"no curvature supplied for 1-D parameter {p.name!r}")
-        g = grads[p.name]
-        new = replace(state[p.name])
+        h = None
+        if hdiags is not None and p.kind == ad.CHANNELWISE_1D:
+            if p.name not in hdiags:
+                raise MissingUpdateError(f"no curvature supplied for 1-D parameter {p.name!r}")
+            h = hdiags[p.name]
+        ps = state[p.name]
         try:
-            _check_finite(g, "gradient")
-            if one_d:
-                d = direction_1d(new, g, hdiags[p.name], cfg)
-            else:
-                d = direction_dense(new, g, cfg)
+            m_g, m_h, d = direction(ps, grads[p.name], h, cfg)
             # decoupled decay: w -= tau * (d + eta * w)
             value = p.value - cfg.tau * (d + cfg.eta * p.value)
             _check_finite(value, "new value")
         except InvariantViolation as e:
             raise InvariantViolation(f"parameter {p.name!r}: {e}") from None
-        staged.append((p, new, value))
-    for p, new, value in staged:
-        ps = state[p.name]
-        ps.m_g, ps.m_h = new.m_g, new.m_h
-        ps.updates += 1
+        staged.append((p, ps, m_g, m_h, value))
+    for p, ps, m_g, m_h, value in staged:
+        ps.m_g, ps.m_h = m_g, m_h
         p.value = value
     state.steps += 1
 

@@ -157,8 +157,8 @@ def test_criterion_06_doubling_curvature_halves_direction():
     h = rng.normal((16,)) + 4.0
     p1 = nn.Parameter("g", np.zeros(16), ad.CHANNELWISE_1D)
     p2 = nn.Parameter("g", np.zeros(16), ad.CHANNELWISE_1D)
-    d1 = optim.direction_1d(optim.OptState([p1])["g"], g, h, cfg)
-    d2 = optim.direction_1d(optim.OptState([p2])["g"], g, 2.0 * h, cfg)
+    _, _, d1 = optim.direction(optim.OptState([p1])["g"], g, h, cfg)
+    _, _, d2 = optim.direction(optim.OptState([p2])["g"], g, 2.0 * h, cfg)
     err = float(np.max(np.abs(d2 - 0.5 * d1) / np.abs(d1)))
     elapsed = time.perf_counter() - t0
     ok = err <= 1e-12 and elapsed < 1

@@ -1,6 +1,8 @@
 """Optimizer update arithmetic: hand-value recursions, the degeneration
 guarantee, Newton scaling, and small convergence runs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,27 +42,31 @@ class TestConfig:
 
 class TestMomentum:
     def test_new_term_recursion_hand_values(self):
+        cfg = optim.SgdPhConfig(beta_m=0.9)
         ps = optim.ParamState(m_g=np.zeros(1))
-        m1 = optim.update_grad_momentum(ps, np.array([1.0]), 0.9).copy()
-        m2 = optim.update_grad_momentum(ps, np.array([2.0]), 0.9).copy()
+        m1, _, _ = optim.direction(ps, np.array([1.0]), None, cfg)
+        ps.m_g = m1
+        m2, _, _ = optim.direction(ps, np.array([2.0]), None, cfg)
         np.testing.assert_allclose(m1, [0.9], rtol=0, atol=1e-16)
         np.testing.assert_allclose(m2, [0.1 * 0.9 + 0.9 * 2.0], rtol=0, atol=1e-16)
 
     def test_constant_signal_is_fixed_point(self):
         g = np.array([0.3, -0.8])
         ps = optim.ParamState(m_g=g.copy())
-        out = optim.update_grad_momentum(ps, g, 0.9)
+        out, _, _ = optim.direction(ps, g, None, optim.SgdPhConfig(beta_m=0.9))
         np.testing.assert_allclose(out, g, rtol=1e-15, atol=1e-16)
 
     def test_hessian_momentum_same_recursion(self):
         ps = optim.ParamState(m_g=np.zeros(1), m_h=np.zeros(1))
-        optim.direction_1d(ps, np.zeros(1), np.array([4.0]), optim.SgdPhConfig(eps=0.0))
-        np.testing.assert_allclose(ps.m_h, [3.6], rtol=0, atol=1e-16)
+        _, m_h, _ = optim.direction(ps, np.zeros(1), np.array([4.0]), optim.SgdPhConfig(eps=0.0))
+        np.testing.assert_allclose(m_h, [3.6], rtol=0, atol=1e-16)
 
     def test_rectify_hand_values(self):
-        np.testing.assert_array_equal(
-            optim.rectify(np.array([-2.0, 0.0, 3.0]), 0.5), [2.5, 0.5, 3.5]
-        )
+        # from a zero slot, m_h = alpha * (|h| + eps) exactly
+        ps = optim.ParamState(m_g=np.zeros(3), m_h=np.zeros(3))
+        _, m_h, _ = optim.direction(ps, np.zeros(3), np.array([-2.0, 0.0, 3.0]),
+                                    optim.SgdPhConfig(alpha=0.9, eps=0.5))
+        np.testing.assert_array_equal(m_h, 0.9 * np.array([2.5, 0.5, 3.5]))
 
 
 class TestDirections:
@@ -70,7 +76,7 @@ class TestDirections:
         cfg = optim.SgdPhConfig(eps=0.0)
         p = make_param(kind=ad.CHANNELWISE_1D)
         ps = fresh([p])[p.name]
-        d = optim.direction_1d(ps, np.array([1.0, 1.0]), np.array([1.0, 4.0]), cfg)
+        _, _, d = optim.direction(ps, np.array([1.0, 1.0]), np.array([1.0, 4.0]), cfg)
         np.testing.assert_allclose(d, cfg.tau_so * np.array([1.0, 0.25]),
                                    rtol=1e-15, atol=0)
 
@@ -78,7 +84,7 @@ class TestDirections:
         cfg = optim.SgdPhConfig(eps=0.0)
         p = make_param(kind=ad.CHANNELWISE_1D)
         ps = fresh([p])[p.name]
-        d = optim.direction_1d(ps, np.array([1.0, 1.0]), np.array([-2.0, 2.0]), cfg)
+        _, _, d = optim.direction(ps, np.array([1.0, 1.0]), np.array([-2.0, 2.0]), cfg)
         np.testing.assert_allclose(d, cfg.tau_so * np.array([0.5, 0.5]), rtol=1e-15, atol=0)
 
     def test_doubled_curvature_halves_direction(self):
@@ -86,15 +92,15 @@ class TestDirections:
         g = Rng(0).normal((6,))
         h = Rng(1).normal((6,)) + 3.0
         p = make_param(value=np.zeros(6), kind=ad.CHANNELWISE_1D)
-        d1 = optim.direction_1d(fresh([p])[p.name], g, h, cfg)
-        d2 = optim.direction_1d(fresh([p])[p.name], g, 2.0 * h, cfg)
+        _, _, d1 = optim.direction(fresh([p])[p.name], g, h, cfg)
+        _, _, d2 = optim.direction(fresh([p])[p.name], g, 2.0 * h, cfg)
         np.testing.assert_allclose(d2, 0.5 * d1, rtol=1e-12, atol=0)
 
     def test_zero_curvature_with_zero_eps_raises(self):
         cfg = optim.SgdPhConfig(eps=0.0)
         p = make_param(value=(1.0,), kind=ad.CHANNELWISE_1D)
         with pytest.raises(optim.InvariantViolation):
-            optim.direction_1d(fresh([p])[p.name], np.array([1.0]), np.array([0.0]), cfg)
+            optim.direction(fresh([p])[p.name], np.array([1.0]), np.array([0.0]), cfg)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_curvature_raises(self, bad):
@@ -102,28 +108,28 @@ class TestDirections:
         cfg = optim.SgdPhConfig()
         p = make_param(kind=ad.CHANNELWISE_1D)
         with pytest.raises(optim.InvariantViolation, match="1 of 2 channels"):
-            optim.direction_1d(fresh([p])[p.name], np.ones(2), np.array([1.0, bad]), cfg)
+            optim.direction(fresh([p])[p.name], np.ones(2), np.array([1.0, bad]), cfg)
 
     def test_failed_check_leaves_slot_unwritten(self):
         cfg = optim.SgdPhConfig()
         p = make_param(kind=ad.CHANNELWISE_1D)
         ps = fresh([p])[p.name]
         with pytest.raises(optim.InvariantViolation):
-            optim.direction_1d(ps, np.ones(2), np.array([np.nan, 1.0]), cfg)
+            optim.direction(ps, np.ones(2), np.array([np.nan, 1.0]), cfg)
         np.testing.assert_array_equal(ps.m_h, np.zeros(2))
         np.testing.assert_array_equal(ps.m_g, np.zeros(2))
 
     def test_eps_floor_rescues_zero_curvature(self):
         cfg = optim.SgdPhConfig(eps=0.0001)
         p = make_param(value=(1.0,), kind=ad.CHANNELWISE_1D)
-        d = optim.direction_1d(fresh([p])[p.name], np.array([2.0]), np.array([0.0]), cfg)
+        _, _, d = optim.direction(fresh([p])[p.name], np.array([2.0]), np.array([0.0]), cfg)
         np.testing.assert_allclose(d, [cfg.tau_so * 2.0 / 0.0001], rtol=1e-14, atol=0)
 
     def test_dense_direction_is_momentum(self):
         cfg = optim.SgdPhConfig()
         p = make_param()
         g = np.array([1.0, -2.0])
-        d = optim.direction_dense(fresh([p])[p.name], g, cfg)
+        _, _, d = optim.direction(fresh([p])[p.name], g, None, cfg)
         np.testing.assert_allclose(d, 0.9 * g, rtol=0, atol=1e-16)
 
 
@@ -156,20 +162,19 @@ class TestStep:
         # one good step first, so the slots hold nonzero momenta
         optim.step(params, grads, {"bn.gamma": np.ones(2)}, cfg, state)
         values = [p.value.copy() for p in params]
-        slots = {name: (ps.m_g.copy(), None if ps.m_h is None else ps.m_h.copy(), ps.updates)
+        slots = {name: (ps.m_g.copy(), None if ps.m_h is None else ps.m_h.copy())
                  for name, ps in state.slots.items()}
         with pytest.raises(optim.InvariantViolation, match="parameter 'bn.gamma'"):
             optim.step(params, grads, {"bn.gamma": np.array([np.nan, 1.0])}, cfg, state)
         # the dense w comes first, yet nothing of the failed step is applied
         for p, before in zip(params, values):
             np.testing.assert_array_equal(p.value, before)
-        for name, (m_g, m_h, updates) in slots.items():
+        for name, (m_g, m_h) in slots.items():
             np.testing.assert_array_equal(state[name].m_g, m_g)
             if m_h is None:
                 assert state[name].m_h is None
             else:
                 np.testing.assert_array_equal(state[name].m_h, m_h)
-            assert state[name].updates == updates == 1
         assert state.steps == 1
 
     def test_nan_dense_gradient_leaves_step_unapplied(self):
@@ -183,7 +188,6 @@ class TestStep:
         for p in params:
             np.testing.assert_array_equal(p.value, [1.0, 2.0])
             np.testing.assert_array_equal(state[p.name].m_g, np.zeros(2))
-            assert state[p.name].updates == 0
         np.testing.assert_array_equal(state["bn.gamma"].m_h, np.zeros(2))
         assert state.steps == 0
 
@@ -207,7 +211,8 @@ class TestStep:
             optim.step([a, b], {"a": np.ones(1), "b": np.ones(2)},
                        {"a": np.ones(1)}, cfg, state)
         assert state.steps == 3
-        assert state["a"].updates == 3 and state["b"].updates == 3
+        # the step count is the only counter: a slot holds its momenta alone
+        assert [f.name for f in dataclasses.fields(optim.ParamState)] == ["m_g", "m_h"]
 
     def test_state_slots(self):
         a = make_param("a", (1.0,), ad.CHANNELWISE_1D)
@@ -216,6 +221,38 @@ class TestStep:
         assert state["a"].m_h is not None and state["a"].m_h.shape == (1,)
         assert state["b"].m_h is None
         np.testing.assert_array_equal(state["b"].m_g, np.zeros(2))
+
+    def test_step_rebinds_slots_and_never_writes_into_them(self):
+        # a snapshot that holds the slot arrays (a resume checkpoint) must not
+        # see a later step; direction must not touch the slot it reads either
+        cfg = optim.SgdPhConfig()
+        a = make_param("a", kind=ad.CHANNELWISE_1D)
+        b = make_param("b")
+        state = fresh([a, b])
+        optim.step([a, b], {"a": np.ones(2), "b": np.ones(2)}, {"a": np.ones(2)}, cfg, state)
+        held = {name: (ps.m_g, ps.m_h) for name, ps in state.slots.items()}
+        copies = {name: (m_g.copy(), None if m_h is None else m_h.copy())
+                  for name, (m_g, m_h) in held.items()}
+
+        ps = state["a"]
+        m_g, m_h, d = optim.direction(ps, np.array([0.5, -1.0]), np.array([3.0, -4.0]), cfg)
+        assert ps.m_g is held["a"][0] and ps.m_h is held["a"][1]
+        np.testing.assert_array_equal(ps.m_g, copies["a"][0])
+        np.testing.assert_array_equal(ps.m_h, copies["a"][1])
+        assert m_g is not ps.m_g and m_h is not ps.m_h
+        assert optim.direction(state["b"], np.ones(2), None, cfg)[1] is None
+
+        optim.step([a, b], {"a": np.array([0.5, -1.0]), "b": np.array([2.0, 3.0])},
+                   {"a": np.array([3.0, -4.0])}, cfg, state)
+        assert state.steps == 2
+        np.testing.assert_array_equal(state["a"].m_g, m_g)
+        np.testing.assert_array_equal(state["a"].m_h, m_h)
+        for name, (m_g, m_h) in held.items():
+            assert state[name].m_g is not m_g
+            np.testing.assert_array_equal(m_g, copies[name][0])
+            if m_h is not None:
+                assert state[name].m_h is not m_h
+                np.testing.assert_array_equal(m_h, copies[name][1])
 
 
 class TestDegeneration:
@@ -286,7 +323,7 @@ class TestProperties:
         old = rng.uniform(-5.0, 5.0, (n,))
         new = rng.uniform(-5.0, 5.0, (n,))
         ps = optim.ParamState(m_g=old.copy())
-        out = optim.update_grad_momentum(ps, new, 0.9)
+        out, _, _ = optim.direction(ps, new, None, optim.SgdPhConfig(beta_m=0.9))
         lo = np.minimum(old, new) - 1e-12
         hi = np.maximum(old, new) + 1e-12
         assert np.all(out >= lo) and np.all(out <= hi)
@@ -301,5 +338,5 @@ class TestProperties:
         ps = fresh([p])[p.name]
         for t in range(5):
             h = rng.uniform(-10.0, 10.0, (n,))
-            optim.direction_1d(ps, np.zeros(n), h, cfg)
+            ps.m_g, ps.m_h, _ = optim.direction(ps, np.zeros(n), h, cfg)
         assert np.min(ps.m_h) > 0.0
