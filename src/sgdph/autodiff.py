@@ -10,11 +10,12 @@ whenever the block is diagonal, as it is for the scale and shift of a
 terminal batch-norm layer under an elementwise loss.
 
 Both sweeps run through one routine that lets adjoints flow only into a
-given set of nodes. The first backward pass admits every node that
-requires a gradient; the second admits only p's descendant cone, the
-nodes between p and g_p that depend on p, since no other node's adjoint
-can reach p. Skipping the rest (the activations upstream of p above all)
-leaves every curvature vector bit for bit unchanged.
+given set of nodes, a descendant cone found by one forward pass over the
+tape. The first backward pass admits the cone of the parameter leaves;
+the second admits only p's, the nodes between p and g_p that depend on
+p, since no other node's adjoint can reach p. Skipping the rest (the
+activations upstream of p above all) leaves every curvature vector bit
+for bit unchanged.
 
 The primitives do only what the layers ask of them. add, sub and mul take
 operands of equal shape; a layer broadcasts explicitly with reshape and
@@ -65,11 +66,11 @@ class Graph:
         self.nodes.append(v)
         return len(self.nodes) - 1
 
-    def variable(self, value, requires_grad: bool = False, kind: str | None = None) -> "Variable":
-        return Variable(self, value, requires_grad, kind=kind, op="leaf")
+    def variable(self, value, kind: str | None = None) -> "Variable":
+        return Variable(self, value, kind=kind, op="leaf")
 
     def constant(self, value) -> "Variable":
-        return Variable(self, value, False, op="const")
+        return Variable(self, value, op="const")
 
     def release(self) -> None:
         """Severs every node's tape edges and drops the node list.
@@ -90,14 +91,13 @@ class Variable:
     maps an output adjoint and a per-parent mask of wanted contributions to
     a list with one contribution (or None where unwanted) per parent."""
 
-    __slots__ = ("graph", "id", "value", "requires_grad", "parents", "vjp", "kind", "op")
+    __slots__ = ("graph", "id", "value", "parents", "vjp", "kind", "op")
 
-    def __init__(self, graph, value, requires_grad, parents=(), vjp=None, kind=None, op=""):
+    def __init__(self, graph, value, parents=(), vjp=None, kind=None, op=""):
         self.graph = graph
         self.value = np.asarray(value)
-        self.requires_grad = bool(requires_grad)
         self.parents = tuple(parents)
-        self.vjp = vjp if self.requires_grad else None
+        self.vjp = vjp
         self.kind = kind
         self.op = op
         self.id = graph._append(self)
@@ -115,8 +115,7 @@ class Variable:
 
 
 def _op(graph: Graph, value, parents, vjp, op: str) -> Variable:
-    needs = any(p.requires_grad for p in parents)
-    return Variable(graph, value, needs, parents, vjp, op=op)
+    return Variable(graph, value, parents, vjp, op=op)
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +167,11 @@ def mul(a: Variable, b: Variable) -> Variable:
 
 def recip(a: Variable) -> Variable:
     out = _op(a.graph, elementwise("recip", a.value), (a,), None, "recip")
-    if out.requires_grad:
 
-        def vjp(g, want):
-            return [neg(mul(g, mul(out, out)))]
+    def vjp(g, want):
+        return [neg(mul(g, mul(out, out)))]
 
-        out.vjp = vjp
+    out.vjp = vjp
     return out
 
 
@@ -209,23 +207,21 @@ def cmul(a: Variable, c) -> Variable:
 
 def sqrt(a: Variable) -> Variable:
     out = _op(a.graph, elementwise("sqrt", a.value), (a,), None, "sqrt")
-    if out.requires_grad:
 
-        def vjp(g, want):
-            return [mul(g, cmul(recip(out), 0.5))]
+    def vjp(g, want):
+        return [mul(g, cmul(recip(out), 0.5))]
 
-        out.vjp = vjp
+    out.vjp = vjp
     return out
 
 
 def exp(a: Variable) -> Variable:
     out = _op(a.graph, elementwise("exp", a.value), (a,), None, "exp")
-    if out.requires_grad:
 
-        def vjp(g, want):
-            return [mul(g, out)]
+    def vjp(g, want):
+        return [mul(g, out)]
 
-        out.vjp = vjp
+    out.vjp = vjp
     return out
 
 
@@ -359,8 +355,7 @@ def _sweep(graph: Graph, root: Variable, reach: set[int]) -> dict[int, Variable]
     into: parents outside it get no contribution, and each vjp receives the
     per-parent mask so it builds only the contributions that are wanted.
     A node whose parents are all outside `reach` does not fire."""
-    seed = Variable(graph, np.ones_like(root.value), False, op="const")
-    adj = {root.id: seed}
+    adj = {root.id: graph.constant(np.ones_like(root.value))}
     for nid in range(root.id, -1, -1):
         g = adj.get(nid)
         if g is None:
@@ -377,20 +372,20 @@ def _sweep(graph: Graph, root: Variable, reach: set[int]) -> dict[int, Variable]
     return adj
 
 
-def _cone(graph: Graph, p: Variable, last: int) -> set[int]:
-    """Ids of p and of every node up to id `last` that depends on p: one
-    forward pass marking a node when any of its parents is marked. Node ids
-    are topological, so no descendant of p precedes it."""
-    cone = {p.id}
-    for node in graph.nodes[p.id + 1 : last + 1]:
+def _cone(graph: Graph, sources: list[Variable], last: int) -> set[int]:
+    """Ids of the sources and of every node up to id `last` that depends on
+    one of them: one forward pass marking a node when any of its parents is
+    marked. Node ids are topological, so no descendant precedes its source;
+    no sources give an empty cone."""
+    cone = {s.id for s in sources}
+    for node in graph.nodes[min(cone, default=last) + 1 : last + 1]:
         if any(q.id in cone for q in node.parents):
             cone.add(node.id)
     return cone
 
 
 def backward(loss: Variable, retain_differentiable: bool = False) -> dict[int, np.ndarray]:
-    """Gradients of a scalar loss for every requires_grad leaf, keyed by
-    node id. With retain_differentiable the adjoint computation is itself
+    """Gradients of a scalar loss for every leaf, keyed by node id. With retain_differentiable the adjoint computation is itself
     recorded and the gradient Variables are kept on the graph, making a
     subsequent hessian_diag_1d call valid."""
     graph = loss.graph
@@ -398,7 +393,8 @@ def backward(loss: Variable, retain_differentiable: bool = False) -> dict[int, n
         raise NonScalarLossError(f"loss must be a scalar, got shape {loss.shape}")
     if loss.id < 0:
         raise MissingDifferentiableGraphError("loss was built while recording was off")
-    reach = {node.id for node in graph.nodes if node.requires_grad}
+    leaves = [node for node in graph.nodes if node.op == "leaf"]
+    reach = _cone(graph, leaves, loss.id)
     prev = graph.recording
     graph.recording = bool(retain_differentiable)
     try:
@@ -407,12 +403,11 @@ def backward(loss: Variable, retain_differentiable: bool = False) -> dict[int, n
         graph.recording = prev
     grads: dict[int, np.ndarray] = {}
     retained: dict[int, Variable] = {}
-    for node in graph.nodes:
-        if node.op == "leaf" and node.requires_grad:
-            a = adj.get(node.id)
-            grads[node.id] = np.zeros_like(node.value) if a is None else a.value.copy()
-            if a is not None:
-                retained[node.id] = a
+    for node in leaves:
+        a = adj.get(node.id)
+        grads[node.id] = np.zeros_like(node.value) if a is None else a.value.copy()
+        if a is not None:
+            retained[node.id] = a
     graph.retained = retained if retain_differentiable else None
     return grads
 
@@ -441,7 +436,7 @@ def hessian_diag_1d(loss: Variable, p: Variable) -> np.ndarray:
     prev = graph.recording
     graph.recording = False
     try:
-        adj = _sweep(graph, g_p, _cone(graph, p, g_p.id))
+        adj = _sweep(graph, g_p, _cone(graph, [p], g_p.id))
     finally:
         graph.recording = prev
     a = adj.get(p.id)

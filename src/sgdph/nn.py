@@ -303,9 +303,9 @@ class Model:
             p.value = v.copy()
 
     def bind(self, graph: ad.Graph) -> dict[str, ad.Variable]:
-        """One requires-grad leaf per parameter, tagged with its kind."""
+        """One leaf per parameter, tagged with its kind."""
         return {
-            p.name: graph.variable(p.value, requires_grad=True, kind=p.kind)
+            p.name: graph.variable(p.value, kind=p.kind)
             for p in self.parameters()
         }
 

@@ -312,7 +312,7 @@ def newton_step_check(a, gamma0, opt: optim.SgdPhConfig, b=0.0,
     b = np.broadcast_to(np.asarray(b, dtype=np.float64), gamma0.shape)
 
     graph = ad.Graph()
-    gvar = graph.variable(gamma0.copy(), requires_grad=True, kind=ad.CHANNELWISE_1D)
+    gvar = graph.variable(gamma0.copy(), kind=ad.CHANNELWISE_1D)
     loss = ad.add(
         ad.sum_all(ad.cmul(ad.mul(gvar, gvar), 0.5 * a)),
         ad.sum_all(ad.cmul(gvar, b)),

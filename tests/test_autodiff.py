@@ -27,7 +27,7 @@ def grad_of(build, x0, kind=ad.DENSE):
     """Runs build(leaf) -> scalar Variable on a fresh tape, returns the
     leaf's gradient."""
     graph = ad.Graph()
-    leaf = graph.variable(np.asarray(x0, dtype=np.float64), requires_grad=True, kind=kind)
+    leaf = graph.variable(np.asarray(x0, dtype=np.float64), kind=kind)
     loss = build(leaf)
     grads = ad.backward(loss)
     return grads[leaf.id]
@@ -35,8 +35,7 @@ def grad_of(build, x0, kind=ad.DENSE):
 
 def hdiag_of(build, x0):
     graph = ad.Graph()
-    leaf = graph.variable(np.asarray(x0, dtype=np.float64), requires_grad=True,
-                          kind=ad.CHANNELWISE_1D)
+    leaf = graph.variable(np.asarray(x0, dtype=np.float64), kind=ad.CHANNELWISE_1D)
     loss = build(leaf)
     ad.backward(loss, retain_differentiable=True)
     return ad.hessian_diag_1d(loss, leaf)
@@ -71,8 +70,8 @@ class TestFirstOrder:
 
     def test_unreached_leaf_gets_zeros(self):
         graph = ad.Graph()
-        a = graph.variable(np.array([1.0, 2.0]), requires_grad=True)
-        b = graph.variable(np.array([3.0]), requires_grad=True)
+        a = graph.variable(np.array([1.0, 2.0]))
+        b = graph.variable(np.array([3.0]))
         grads = ad.backward(ad.sum_all(ad.mul(a, a)))
         np.testing.assert_array_equal(grads[b.id], [0.0])
 
@@ -83,7 +82,7 @@ class TestFirstOrder:
 
         def f(x):
             graph = ad.Graph()
-            return float(build(graph.variable(x, requires_grad=True)).value)
+            return float(build(graph.variable(x)).value)
 
         g = grad_of(build, x0)
         np.testing.assert_allclose(g, fd_grad(f, x0), rtol=0, atol=1e-8)
@@ -200,8 +199,7 @@ class TestSecondSweep:
 
     def test_repeated_extraction_is_stable(self):
         graph = ad.Graph()
-        leaf = graph.variable(np.array([0.4, 1.3]), requires_grad=True,
-                              kind=ad.CHANNELWISE_1D)
+        leaf = graph.variable(np.array([0.4, 1.3]), kind=ad.CHANNELWISE_1D)
         loss = ad.sum_all(ad.mul(ad.mul(leaf, leaf), leaf))
         ad.backward(loss, retain_differentiable=True)
         first = ad.hessian_diag_1d(loss, leaf)
@@ -210,8 +208,7 @@ class TestSecondSweep:
 
     def test_extraction_does_not_grow_tape(self):
         graph = ad.Graph()
-        leaf = graph.variable(np.array([0.4, 1.3]), requires_grad=True,
-                              kind=ad.CHANNELWISE_1D)
+        leaf = graph.variable(np.array([0.4, 1.3]), kind=ad.CHANNELWISE_1D)
         loss = ad.sum_all(ad.mul(leaf, leaf))
         ad.backward(loss, retain_differentiable=True)
         before = len(graph.nodes)
@@ -220,12 +217,20 @@ class TestSecondSweep:
 
     def test_parameter_absent_from_loss_gives_zeros(self):
         graph = ad.Graph()
-        used = graph.variable(np.array([1.0]), requires_grad=True, kind=ad.CHANNELWISE_1D)
-        unused = graph.variable(np.array([1.0, 2.0]), requires_grad=True,
-                                kind=ad.CHANNELWISE_1D)
+        used = graph.variable(np.array([1.0]), kind=ad.CHANNELWISE_1D)
+        unused = graph.variable(np.array([1.0, 2.0]), kind=ad.CHANNELWISE_1D)
         loss = ad.sum_all(ad.mul(used, used))
         ad.backward(loss, retain_differentiable=True)
         np.testing.assert_array_equal(ad.hessian_diag_1d(loss, unused), [0.0, 0.0])
+
+    def test_loss_of_constants_admits_no_node(self):
+        # no leaves give an empty cone: the sweep fires no vjp
+        graph = ad.Graph()
+        c = graph.constant(np.array([1.0, 2.0]))
+        loss = ad.sum_all(ad.exp(c))
+        assert ad._cone(graph, [], loss.id) == set()
+        assert ad.backward(loss, retain_differentiable=True) == {}
+        assert graph.retained == {}
 
 
 def small_cnn_tape(model_name):
@@ -249,12 +254,15 @@ def small_cnn_tape(model_name):
 
 
 def full_mask_hdiag(graph, p):
-    """The second sweep with adjoints admitted into every node that requires
-    a gradient, as the first backward pass admits them: no cone pruning."""
+    """The second sweep with adjoints admitted into every node that depends
+    on any leaf, as the first backward pass admits them: no cone pruning."""
+    admitted = set()
+    for v in graph.nodes:
+        if v.op == "leaf" or any(q.id in admitted for q in v.parents):
+            admitted.add(v.id)
     graph.recording = False
     try:
-        adj = ad._sweep(graph, graph.retained[p.id],
-                        {v.id for v in graph.nodes if v.requires_grad})
+        adj = ad._sweep(graph, graph.retained[p.id], admitted)
     finally:
         graph.recording = True
     return np.array(adj[p.id].value)
@@ -354,13 +362,13 @@ class TestTrainingScale:
 class TestErrors:
     def test_non_scalar_loss(self):
         graph = ad.Graph()
-        leaf = graph.variable(np.array([1.0, 2.0]), requires_grad=True)
+        leaf = graph.variable(np.array([1.0, 2.0]))
         with pytest.raises(ad.NonScalarLossError):
             ad.backward(ad.mul(leaf, leaf))
 
     def test_hessian_without_retain(self):
         graph = ad.Graph()
-        leaf = graph.variable(np.array([1.0]), requires_grad=True, kind=ad.CHANNELWISE_1D)
+        leaf = graph.variable(np.array([1.0]), kind=ad.CHANNELWISE_1D)
         loss = ad.sum_all(ad.mul(leaf, leaf))
         ad.backward(loss)
         with pytest.raises(ad.MissingDifferentiableGraphError):
@@ -368,7 +376,7 @@ class TestErrors:
 
     def test_hessian_wrong_kind(self):
         graph = ad.Graph()
-        leaf = graph.variable(np.array([1.0]), requires_grad=True, kind=ad.DENSE)
+        leaf = graph.variable(np.array([1.0]), kind=ad.DENSE)
         loss = ad.sum_all(ad.mul(leaf, leaf))
         ad.backward(loss, retain_differentiable=True)
         with pytest.raises(ad.WrongKindError):
@@ -376,7 +384,7 @@ class TestErrors:
 
     def test_hessian_needs_1d(self):
         graph = ad.Graph()
-        leaf = graph.variable(np.ones((2, 2)), requires_grad=True, kind=ad.CHANNELWISE_1D)
+        leaf = graph.variable(np.ones((2, 2)), kind=ad.CHANNELWISE_1D)
         loss = ad.sum_all(ad.mul(leaf, leaf))
         ad.backward(loss, retain_differentiable=True)
         with pytest.raises(ad.WrongKindError):
@@ -384,7 +392,7 @@ class TestErrors:
 
     def test_loss_built_off_tape(self):
         graph = ad.Graph()
-        leaf = graph.variable(np.array([1.0]), requires_grad=True)
+        leaf = graph.variable(np.array([1.0]))
         graph.recording = False
         loss = ad.sum_all(ad.mul(leaf, leaf))
         with pytest.raises(ad.MissingDifferentiableGraphError):
@@ -393,28 +401,28 @@ class TestErrors:
     def test_shape_mismatch_names_both_shapes(self):
         # binary tape ops take equal shapes and never broadcast implicitly
         graph = ad.Graph()
-        a = graph.variable(np.ones((2, 1)), requires_grad=True)
-        b = graph.variable(np.ones((1, 3)), requires_grad=True)
+        a = graph.variable(np.ones((2, 1)))
+        b = graph.variable(np.ones((1, 3)))
         for op in (ad.add, ad.sub, ad.mul):
             with pytest.raises(ShapeMismatchError, match=r"\(2, 1\) and \(1, 3\)"):
                 op(a, b)
 
     def test_broadcast_to_keeps_the_rank(self):
         graph = ad.Graph()
-        leaf = graph.variable(np.ones(3), requires_grad=True)
+        leaf = graph.variable(np.ones(3))
         with pytest.raises(ShapeMismatchError, match=r"\(3,\).*\(5, 3\)"):
             ad.broadcast_to(leaf, (5, 3))
 
     def test_cadd_rejects_widening_constant(self):
         graph = ad.Graph()
-        leaf = graph.variable(np.array([1.0, 2.0]), requires_grad=True)
+        leaf = graph.variable(np.array([1.0, 2.0]))
         with pytest.raises(ShapeMismatchError):
             ad.cadd(leaf, np.ones((3, 2)))
 
     def test_mismatched_graphs(self):
         g1, g2 = ad.Graph(), ad.Graph()
-        p1 = g1.variable(np.array([1.0]), requires_grad=True, kind=ad.CHANNELWISE_1D)
-        p2 = g2.variable(np.array([1.0]), requires_grad=True, kind=ad.CHANNELWISE_1D)
+        p1 = g1.variable(np.array([1.0]), kind=ad.CHANNELWISE_1D)
+        p2 = g2.variable(np.array([1.0]), kind=ad.CHANNELWISE_1D)
         loss = ad.sum_all(ad.mul(p1, p1))
         ad.backward(loss, retain_differentiable=True)
         with pytest.raises(ad.MissingDifferentiableGraphError):
@@ -428,7 +436,7 @@ class TestProperties:
         rng = Rng(seed)
         a0, b0 = rng.normal((n,)), rng.normal((n,))
         graph = ad.Graph()
-        a = graph.variable(a0, requires_grad=True)
+        a = graph.variable(a0)
         b = graph.constant(b0)
         grads = ad.backward(ad.sum_all(ad.mul(a, b)))
         np.testing.assert_array_equal(grads[a.id], b0)
@@ -441,7 +449,7 @@ class TestProperties:
         rng = Rng(seed)
         x0 = rng.normal((n, m))
         graph = ad.Graph()
-        x = graph.variable(x0, requires_grad=True)
+        x = graph.variable(x0)
         grads = ad.backward(ad.sum_all(x))
         np.testing.assert_array_equal(grads[x.id], np.ones((n, m)))
 

@@ -167,7 +167,7 @@ class TestLinearConv:
         w = Rng(6).normal((4, 2, 3, 3)).astype(np.float32)
         assert conv2d_np(x, w).flags.c_contiguous
         graph = ad.Graph()
-        y = ad.conv2d(graph.constant(x), graph.variable(w, requires_grad=True))
+        y = ad.conv2d(graph.constant(x), graph.variable(w))
         assert y.value.flags.c_contiguous
         model = nn.Model("m", [nn.Conv2d("c", 2, 4, 3, Rng(7), np.float32),
                                nn.BatchNorm("bn", 4, np.float32), nn.ReLU()])
