@@ -19,6 +19,16 @@ ROWSUM_TOL = 1e-5
 GRADCHECK_TOL = 1e-5
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sgdph")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -43,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--out", default="compare.csv")
 
     p_gc = sub.add_parser("gradcheck", help="FD gradient check of every layer type")
-    p_gc.add_argument("--seeds", type=int, default=3, help="seeds per layer case")
+    p_gc.add_argument("--seeds", type=_positive_int, default=3, help="seeds per layer case")
     p_gc.add_argument("--tol", type=float, default=GRADCHECK_TOL)
     return parser
 
@@ -148,7 +158,7 @@ def cli(argv: list[str] | None = None) -> int:
             return _cmd_compare(args)
         if args.command == "gradcheck":
             return _cmd_gradcheck(args)
-    except (ConfigError, IdxFormatError, FileNotFoundError,
+    except (ConfigError, IdxFormatError, OSError,
             training.TrainAbortError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

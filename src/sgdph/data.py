@@ -81,6 +81,9 @@ def load_idx(train_images: str, train_labels: str, test_images: str, test_labels
             )
         if images.shape[0] == 0:
             raise IdxFormatError(f"{ip} holds no images")
+        if 0 in images.shape[1:]:
+            raise IdxFormatError(f"{ip} holds images of zero extent "
+                                 f"{images.shape[1]}x{images.shape[2]}")
         if subset_n > 0:
             images = images[:subset_n]
             labels = labels[:subset_n]

@@ -164,7 +164,9 @@ def train(cfg: RunConfig) -> TrainResult:
     y_train = dataset.y_train
     n = x_train.shape[0]
 
-    for path in (cfg.out_metrics, cfg.out_checkpoint):
+    for key, path in (("out.metrics", cfg.out_metrics), ("out.checkpoint", cfg.out_checkpoint)):
+        if os.path.isdir(path):
+            raise ConfigError(f"{key}={path} is a directory")
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)

@@ -117,9 +117,49 @@ class TestTrain:
         assert not (tmp_path / "m.jsonl").exists()
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("model", ["mlp-bn", "cnn-bn"])
+    def test_zero_extent_idx_images_name_the_file(self, tmp_path, capsys, model):
+        paths = {}
+        for split in ("train", "test"):
+            paths[f"{split}_images"] = tmp_path / f"{split}-images.idx"
+            paths[f"{split}_labels"] = tmp_path / f"{split}-labels.idx"
+            write_idx(str(paths[f"{split}_images"]), np.zeros((4, 0, 0), dtype=np.uint8))
+            write_idx(str(paths[f"{split}_labels"]), np.zeros(4, dtype=np.uint8))
+        sets = [f"dataset.{key}={path}" for key, path in paths.items()]
+        sets += ["dataset.kind=idx", f"model={model}", "epochs=1",
+                 f"out.metrics={tmp_path / 'm.jsonl'}", f"out.checkpoint={tmp_path / 'm.ckpt'}"]
+        assert cli(["train"] + [arg for s in sets for arg in ("--set", s)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {paths['train_images']} holds images of zero extent 0x0" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "m.jsonl").exists()
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("key,other", [("out.metrics", "out.checkpoint"),
+                                           ("out.checkpoint", "out.metrics")])
+    def test_output_path_that_is_a_directory_fails_before_metrics_open(
+            self, tmp_path, capsys, key, other):
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        path = {"out.metrics": tmp_path / "m.jsonl", "out.checkpoint": tmp_path / "m.ckpt"}
+        rc = cli(["train", "--set", "epochs=1", "--set", f"{key}={taken}",
+                  "--set", f"{other}={path[other]}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: {key}={taken} is a directory" in err
+        assert "Traceback" not in err
+        assert not path[other].exists()
+        assert list(taken.iterdir()) == []
+
     def test_missing_config_file(self, capsys):
         assert cli(["train", "--config", "/nonexistent/run.cfg"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_config_path_that_is_a_directory(self, tmp_path, capsys):
+        assert cli(["train", "--config", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tmp_path) in err
+        assert "Traceback" not in err
 
 
 class TestVerify:
@@ -155,6 +195,12 @@ class TestVerify:
         assert cli(["verify", "--param", "bn9.gamma"]) == 1
         assert "bn9.gamma" in capsys.readouterr().err
 
+    def test_out_path_that_is_a_directory(self, tmp_path, capsys):
+        assert cli(["verify", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tmp_path) in err
+        assert "Traceback" not in err
+
     def test_model_without_1d_params_fails(self, capsys):
         assert cli(["verify", "--model", "mlp-plain"]) == 1
         assert "no 1-D parameters" in capsys.readouterr().err
@@ -183,3 +229,10 @@ class TestGradcheck:
     def test_absurd_tolerance_fails(self, capsys):
         assert cli(["gradcheck", "--seeds", "1", "--tol", "1e-20"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_seeds_below_one_is_bad_usage(self, capsys, seeds):
+        assert cli(["gradcheck", "--seeds", seeds]) == 2
+        err = capsys.readouterr().err
+        assert f"argument --seeds: must be >= 1, got {int(seeds)}" in err
+        assert "Traceback" not in err
