@@ -385,9 +385,10 @@ def _cone(graph: Graph, sources: list[Variable], last: int) -> set[int]:
 
 
 def backward(loss: Variable, retain_differentiable: bool = False) -> dict[int, np.ndarray]:
-    """Gradients of a scalar loss for every leaf, keyed by node id. With retain_differentiable the adjoint computation is itself
-    recorded and the gradient Variables are kept on the graph, making a
-    subsequent hessian_diag_1d call valid."""
+    """Gradients of a scalar loss for every leaf, keyed by node id. With
+    retain_differentiable the adjoint computation is itself recorded and
+    the gradient Variables are kept on the graph, making a subsequent
+    hessian_diag_1d call valid."""
     graph = loss.graph
     if loss.value.size != 1:
         raise NonScalarLossError(f"loss must be a scalar, got shape {loss.shape}")

@@ -90,7 +90,8 @@ def _check_finite(a: np.ndarray, what: str) -> None:
         raise InvariantViolation(f"{what} not finite in {int(bad.sum())} of {bad.size} entries")
 
 
-def direction(ps: ParamState, g: np.ndarray, h: np.ndarray | None, cfg: SgdPhConfig):
+def direction(ps: ParamState, g: np.ndarray, h: np.ndarray | None,
+              cfg: SgdPhConfig) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """The new momenta (m_g, m_h) of one parameter and its direction d,
     computed from the slot ps without writing it. h=None marks a dense
     parameter: its m_h passes through and d = m_g. Raises on a non-finite

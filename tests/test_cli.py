@@ -22,6 +22,21 @@ def write_cfg(tmp_path, name="run.cfg", **fields):
     return path
 
 
+def idx_train_args(tmp_path, train_shape, test_shape):
+    """Writes an all-zero IDX quadruple with the given image shapes; returns
+    its paths and the train arguments of a one-epoch run on it."""
+    paths = {}
+    for split, shape in (("train", train_shape), ("test", test_shape)):
+        paths[f"{split}_images"] = tmp_path / f"{split}-images.idx"
+        paths[f"{split}_labels"] = tmp_path / f"{split}-labels.idx"
+        write_idx(str(paths[f"{split}_images"]), np.zeros(shape, dtype=np.uint8))
+        write_idx(str(paths[f"{split}_labels"]), np.zeros(shape[0], dtype=np.uint8))
+    sets = [f"dataset.{key}={path}" for key, path in paths.items()]
+    sets += ["dataset.kind=idx", "epochs=1",
+             f"out.metrics={tmp_path / 'm.jsonl'}", f"out.checkpoint={tmp_path / 'm.ckpt'}"]
+    return paths, ["train"] + [arg for s in sets for arg in ("--set", s)]
+
+
 class TestUsage:
     def test_no_subcommand_is_bad_usage(self, capsys):
         assert cli([]) == 2
@@ -102,16 +117,8 @@ class TestTrain:
         assert not (tmp_path / "m.ckpt").exists()
 
     def test_empty_idx_split_names_the_file(self, tmp_path, capsys):
-        paths = {}
-        for split, n in (("train", 4), ("test", 0)):
-            paths[f"{split}_images"] = tmp_path / f"{split}-images.idx"
-            paths[f"{split}_labels"] = tmp_path / f"{split}-labels.idx"
-            write_idx(str(paths[f"{split}_images"]), np.zeros((n, 4, 4), dtype=np.uint8))
-            write_idx(str(paths[f"{split}_labels"]), np.zeros(n, dtype=np.uint8))
-        sets = [f"dataset.{key}={path}" for key, path in paths.items()]
-        sets += ["dataset.kind=idx", "epochs=1",
-                 f"out.metrics={tmp_path / 'm.jsonl'}", f"out.checkpoint={tmp_path / 'm.ckpt'}"]
-        assert cli(["train"] + [arg for s in sets for arg in ("--set", s)]) == 1
+        paths, args = idx_train_args(tmp_path, (4, 4, 4), (0, 4, 4))
+        assert cli(args) == 1
         err = capsys.readouterr().err
         assert f"{paths['test_images']} holds no images" in err
         assert not (tmp_path / "m.jsonl").exists()
@@ -119,16 +126,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("model", ["mlp-bn", "cnn-bn"])
     def test_zero_extent_idx_images_name_the_file(self, tmp_path, capsys, model):
-        paths = {}
-        for split in ("train", "test"):
-            paths[f"{split}_images"] = tmp_path / f"{split}-images.idx"
-            paths[f"{split}_labels"] = tmp_path / f"{split}-labels.idx"
-            write_idx(str(paths[f"{split}_images"]), np.zeros((4, 0, 0), dtype=np.uint8))
-            write_idx(str(paths[f"{split}_labels"]), np.zeros(4, dtype=np.uint8))
-        sets = [f"dataset.{key}={path}" for key, path in paths.items()]
-        sets += ["dataset.kind=idx", f"model={model}", "epochs=1",
-                 f"out.metrics={tmp_path / 'm.jsonl'}", f"out.checkpoint={tmp_path / 'm.ckpt'}"]
-        assert cli(["train"] + [arg for s in sets for arg in ("--set", s)]) == 1
+        paths, args = idx_train_args(tmp_path, (4, 0, 0), (4, 0, 0))
+        assert cli(args + ["--set", f"model={model}"]) == 1
         err = capsys.readouterr().err
         assert f"error: {paths['train_images']} holds images of zero extent 0x0" in err
         assert "Traceback" not in err
