@@ -51,9 +51,10 @@ class Graph:
     """Append-only tape. Node ids are topologically ordered (inputs precede
     consumers) and a backward pass visits them in strictly reverse id order.
 
-    While `recording` is False, newly built Variables get id -1 and are not
-    appended: their values are still computed, but no later sweep can
-    traverse them."""
+    While `recording` is False, newly built Variables get id -1, are not
+    appended and hold no edges (no parents, no vjp): their values are still
+    computed, but no sweep can traverse them, and an off-tape adjoint keeps
+    none of its operands alive."""
 
     def __init__(self):
         self.nodes: list[Variable] = []
@@ -76,8 +77,9 @@ class Graph:
         """Severs every node's tape edges and drops the node list.
         Self-capturing vjp closures (exp, sqrt, recip) tie the forward and
         backward webs into reference cycles that refcounting cannot free, so
-        a finished tape otherwise lives until a full gc pass. No sweep may
-        run afterwards."""
+        a finished tape otherwise lives until a full gc pass. Only recorded
+        nodes carry those closures, so the cycles exist only among the nodes
+        this severs. No sweep may run afterwards."""
         for v in self.nodes:
             v.vjp = None
             v.parents = ()
@@ -96,11 +98,12 @@ class Variable:
     def __init__(self, graph, value, parents=(), vjp=None, kind=None, op=""):
         self.graph = graph
         self.value = np.asarray(value)
-        self.parents = tuple(parents)
-        self.vjp = vjp
         self.kind = kind
         self.op = op
         self.id = graph._append(self)
+        on_tape = self.id >= 0
+        self.parents = tuple(parents) if on_tape else ()
+        self.vjp = vjp if on_tape else None
 
     @property
     def shape(self):
@@ -167,11 +170,10 @@ def mul(a: Variable, b: Variable) -> Variable:
 
 def recip(a: Variable) -> Variable:
     out = _op(a.graph, elementwise("recip", a.value), (a,), None, "recip")
-
-    def vjp(g, want):
-        return [neg(mul(g, mul(out, out)))]
-
-    out.vjp = vjp
+    if out.id >= 0:  # the vjp captures out; an off-tape node holds no vjp
+        def vjp(g, want):
+            return [neg(mul(g, mul(out, out)))]
+        out.vjp = vjp
     return out
 
 
@@ -207,21 +209,19 @@ def cmul(a: Variable, c) -> Variable:
 
 def sqrt(a: Variable) -> Variable:
     out = _op(a.graph, elementwise("sqrt", a.value), (a,), None, "sqrt")
-
-    def vjp(g, want):
-        return [mul(g, cmul(recip(out), 0.5))]
-
-    out.vjp = vjp
+    if out.id >= 0:
+        def vjp(g, want):
+            return [mul(g, cmul(recip(out), 0.5))]
+        out.vjp = vjp
     return out
 
 
 def exp(a: Variable) -> Variable:
     out = _op(a.graph, elementwise("exp", a.value), (a,), None, "exp")
-
-    def vjp(g, want):
-        return [mul(g, out)]
-
-    out.vjp = vjp
+    if out.id >= 0:
+        def vjp(g, want):
+            return [mul(g, out)]
+        out.vjp = vjp
     return out
 
 
@@ -354,13 +354,22 @@ def _sweep(graph: Graph, root: Variable, reach: set[int]) -> dict[int, Variable]
     contribution. `reach` holds the ids of the nodes an adjoint must flow
     into: parents outside it get no contribution, and each vjp receives the
     per-parent mask so it builds only the contributions that are wanted.
-    A node whose parents are all outside `reach` does not fire."""
+    A node whose parents are all outside `reach` does not fire.
+
+    A node's adjoint is complete when the sweep reaches it, since every
+    consumer has a higher id, and it is dropped there, once its vjp has
+    fired: with recording off nothing else refers to it, so it is freed
+    while the sweep runs. The returned dict holds the adjoints of the
+    parentless nodes (leaves and constants) only."""
     adj = {root.id: graph.constant(np.ones_like(root.value))}
     for nid in range(root.id, -1, -1):
         g = adj.get(nid)
         if g is None:
             continue
         node = graph.nodes[nid]
+        if not node.parents:
+            continue
+        del adj[nid]
         want = [p.id in reach for p in node.parents]
         if not any(want):
             continue

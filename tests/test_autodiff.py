@@ -1,6 +1,8 @@
 """Tape gradients and second-sweep curvature against finite differences
 and closed forms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -323,6 +325,46 @@ class TestConePruning:
         fired.clear()
         full_mask_hdiag(graph, p)
         assert [n.id for n, _ in fired if n.id in upstream]
+
+
+class TestAdjointLifetime:
+    def test_off_tape_nodes_carry_no_edges(self):
+        graph = ad.Graph()
+        a = graph.variable(np.array([0.5, 2.0]))
+        on_tape = [ad.mul(a, a), ad.recip(a), ad.sqrt(a), ad.exp(a)]
+        assert all(v.id >= 0 and v.parents and v.vjp is not None for v in on_tape)
+        graph.recording = False
+        for v in (ad.mul(a, a), ad.recip(a), ad.sqrt(a), ad.exp(a)):
+            assert (v.id, v.parents, v.vjp) == (-1, (), None), v.op
+
+    def test_sweep_returns_only_parentless_adjoints(self):
+        _, graph, env, loss, _ = small_cnn_tape("cnn-bn")
+        p, g_p = env["bn1.gamma"], graph.retained[env["bn1.gamma"].id]
+        leaves = [v for v in graph.nodes if v.op == "leaf"]
+        graph.recording = False
+        try:
+            sweeps = [
+                ad._sweep(graph, loss, ad._cone(graph, leaves, loss.id)),
+                ad._sweep(graph, g_p, ad._cone(graph, [p], g_p.id)),
+            ]
+        finally:
+            graph.recording = True
+        for adj in sweeps:
+            assert p.id in adj
+            assert all(not graph.nodes[nid].parents for nid in adj)
+
+    def test_curvature_sweep_peak_memory_is_bounded(self):
+        # each adjoint is freed once its vjp has fired, so a bn1 sweep holds a
+        # few activation-sized arrays at a time rather than every one it built
+        _, _, env, loss, _ = small_cnn_tape("cnn-bn")
+        activation = np.zeros((4, 16, 6, 6), dtype=np.float32).nbytes
+        tracemalloc.start()
+        try:
+            ad.hessian_diag_1d(loss, env["bn1.gamma"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / activation <= 16
 
 
 class TestTrainingScale:
