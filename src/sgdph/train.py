@@ -327,10 +327,13 @@ class CompareResult:
 
 def compare(cfg_a: RunConfig, cfg_b: RunConfig, csv_path: str = "compare.csv") -> CompareResult:
     """Runs both configs (which must share dataset and model) and writes an
-    aligned per-epoch test-accuracy CSV ending in a delta line."""
+    aligned per-epoch test-accuracy CSV ending in a delta line. A csv_path
+    naming a directory is rejected before either run starts."""
     for f in ("model",) + tuple(name for name in vars(cfg_a) if name.startswith("dataset_")):
         if getattr(cfg_a, f) != getattr(cfg_b, f):
             raise ConfigError(f"compare requires matching dataset/model, differs on {f!r}")
+    if os.path.isdir(csv_path):
+        raise ConfigError(f"compare output {csv_path} is a directory")
     if cfg_a.out_metrics == cfg_b.out_metrics:
         cfg_a = replace(cfg_a, out_metrics=cfg_a.out_metrics + ".a",
                         out_checkpoint=cfg_a.out_checkpoint + ".a")

@@ -215,6 +215,17 @@ class TestCompare:
         assert lines[0] == "epoch,acc_a,acc_b"
         assert lines[-1].startswith("delta,")
 
+    def test_out_path_that_is_a_directory_fails_before_training(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        assert cli(["compare", "--config", str(cfg), "--out", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: compare output {taken} is a directory" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "taken"]
+        assert list(taken.iterdir()) == []
+
 
 class TestGradcheck:
     def test_all_layer_cases_pass(self, capsys):
