@@ -357,8 +357,8 @@ def _sweep(graph: Graph, root: Variable, reach: set[int]) -> dict[int, Variable]
     A node whose parents are all outside `reach` does not fire.
 
     A node's adjoint is complete when the sweep reaches it, since every
-    consumer has a higher id, and it is dropped there, once its vjp has
-    fired: with recording off nothing else refers to it, so it is freed
+    consumer has a higher id, so it is dropped there: once its vjp has
+    fired, with recording off nothing else refers to it and it is freed
     while the sweep runs. The returned dict holds the adjoints of the
     parentless nodes (leaves and constants) only."""
     adj = {root.id: graph.constant(np.ones_like(root.value))}
