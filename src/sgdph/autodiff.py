@@ -19,7 +19,11 @@ for bit unchanged.
 
 The primitives do only what the layers ask of them. add, sub and mul take
 operands of equal shape; a layer broadcasts explicitly with reshape and
-broadcast_to, which keeps the rank. conv2d is same-padded with stride 1.
+broadcast_to, which keeps the rank. matmul takes two matrices. conv2d is
+same-padded with stride 1, and with its input adjoint conv_t and its kernel
+adjoint conv_w it forms a family closed under differentiation: each of the
+three has its vjps in the other two and itself, so a recorded backward
+through a convolution holds no patch matrix and stays exact to any order.
 
 Tapes are define-by-run and single-use: build a fresh Graph per step.
 """
@@ -28,8 +32,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import ShapeMismatchError, check_conv, elementwise, fold2d, unfold2d
-from .tensor import matmul as _matmul_np
+from . import tensor
+from .tensor import ShapeMismatchError, check_conv, elementwise
 
 CHANNELWISE_1D = "channelwise-1d"
 DENSE = "dense"
@@ -160,6 +164,9 @@ def mul(a: Variable, b: Variable) -> Variable:
     _same_shape("mul", a, b)
 
     def vjp(g, want):
+        if a is b:  # both contributions are g*a: build it once
+            c = mul(g, a)
+            return [c, c]
         return [
             mul(g, b) if want[0] else None,
             mul(g, a) if want[1] else None,
@@ -242,9 +249,8 @@ def relu(a: Variable) -> Variable:
 
 
 def matmul(a: Variable, b: Variable) -> Variable:
-    """Product over the last two axes; leading axes are batch axes and must
-    be equal (tensor.matmul)."""
-    value = _matmul_np(a.value, b.value)
+    """Product of two matrices (tensor.matmul)."""
+    value = tensor.matmul(a.value, b.value)
 
     def vjp(g, want):
         return [
@@ -256,14 +262,13 @@ def matmul(a: Variable, b: Variable) -> Variable:
 
 
 def transpose(a: Variable) -> Variable:
-    """Swaps the last two axes."""
-    if a.value.ndim < 2:
-        raise ShapeMismatchError(f"transpose needs a value of rank >= 2, got {a.shape}")
+    if a.value.ndim != 2:
+        raise ShapeMismatchError(f"transpose needs a matrix, got {a.shape}")
 
     def vjp(g, want):
         return [transpose(g)]
 
-    return _op(a.graph, a.value.swapaxes(-1, -2), (a,), vjp, "transpose")
+    return _op(a.graph, a.value.T, (a,), vjp, "transpose")
 
 
 def reshape(a: Variable, shape: tuple) -> Variable:
@@ -311,36 +316,50 @@ def mean_axes(a: Variable, axes: tuple) -> Variable:
     return cmul(sum_axes(a, axes), 1.0 / count)
 
 
-def unfold(x: Variable, kh: int, kw: int) -> Variable:
-    """Same-padded stride-1 patch matrices (tensor.unfold2d)."""
-    src = x.shape
-
-    def vjp(g, want):
-        return [fold(g, src, kh, kw)]
-
-    return _op(x.graph, unfold2d(x.value, kh, kw), (x,), vjp, "unfold")
-
-
-def fold(cols: Variable, x_shape: tuple, kh: int, kw: int) -> Variable:
-    def vjp(g, want):
-        return [unfold(g, kh, kw)]
-
-    return _op(cols.graph, fold2d(cols.value, x_shape, kh, kw), (cols,), vjp, "fold")
-
-
 def conv2d(x: Variable, w: Variable) -> Variable:
-    """Same-padded stride-1 cross-correlation as per-sample unfold + one
-    batched matmul, so both backward passes reduce to the linear-op adjoint
-    pairs above. The kernel matrix enters as a broadcast view over the
-    batch, whose adjoint sums the per-sample kernel gradients; the result
-    is a C-contiguous [N,Cout,H,W]."""
+    """Same-padded stride-1 cross-correlation of [N,Cin,H,W] with
+    [Cout,Cin,kh,kw] (tensor.conv2d). Its vjps are the input adjoint
+    conv_t(g, w) and the kernel adjoint conv_w(x, g)."""
     check_conv(x.shape, w.shape)
-    n = x.shape[0]
-    cout, cin, kh, kw = w.shape
-    cols = unfold(x, kh, kw)
-    k = cin * kh * kw
-    wmat = broadcast_to(reshape(w, (1, cout, k)), (n, cout, k))
-    return reshape(matmul(wmat, cols), (n, cout) + x.shape[2:])
+    kh, kw = w.shape[2:]
+
+    def vjp(g, want):
+        return [
+            conv_t(g, w) if want[0] else None,
+            conv_w(x, g, kh, kw) if want[1] else None,
+        ]
+
+    return _op(x.graph, tensor.conv2d(x.value, w.value), (x, w), vjp, "conv2d")
+
+
+def conv_t(g: Variable, w: Variable) -> Variable:
+    """Transposed convolution of an [N,Cout,H,W] adjoint with w
+    (tensor.conv_t): conv2d's input adjoint. Being linear in each operand,
+    it has the vjps conv2d(z, w) for g and conv_w(z, g) for w."""
+    kh, kw = w.shape[2:]
+
+    def vjp(z, want):
+        return [
+            conv2d(z, w) if want[0] else None,
+            conv_w(z, g, kh, kw) if want[1] else None,
+        ]
+
+    return _op(g.graph, tensor.conv_t(g.value, w.value), (g, w), vjp, "conv_t")
+
+
+def conv_w(x: Variable, g: Variable, kh: int, kw: int) -> Variable:
+    """Kernel adjoint of conv2d for input x and output adjoint g
+    (tensor.conv_w), a [Cout,Cin,kh,kw] kernel. Its vjps are conv_t(g, k)
+    for x and conv2d(x, k) for g. The node keeps x and g, never their
+    patch matrix: the kernel unfolds x again on each call."""
+
+    def vjp(k, want):
+        return [
+            conv_t(g, k) if want[0] else None,
+            conv2d(x, k) if want[1] else None,
+        ]
+
+    return _op(x.graph, tensor.conv_w(x.value, g.value, kh, kw), (x, g), vjp, "conv_w")
 
 
 # ---------------------------------------------------------------------------

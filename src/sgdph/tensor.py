@@ -4,9 +4,12 @@ Tensors are plain numpy arrays in NCHW row-major layout, f32 for training
 runs and f64 for every oracle comparison. Every convolution is same-padded
 with stride 1, and the kernels derive that padding from the kernel size.
 A convolution is lowered per sample: unfold2d turns [N,C,H,W] into patch
-matrices [N, C*kh*kw, H*W] and one batched matmul with the [Cout, C*kh*kw]
+matrices [N, C*kh*kw, H*W] and one GEMM per sample with the [Cout, C*kh*kw]
 kernel gives [N, Cout, H*W], which is already NCHW, so no activation is a
-strided view. All kernels here are pure: no input is ever mutated.
+strided view. Its two adjoints, conv_t (input) and conv_w (kernel), are
+lowered the same way; in all three the patch matrix is a transient of the
+call and is never returned. All kernels here are pure: no input is ever
+mutated.
 """
 
 from __future__ import annotations
@@ -75,19 +78,13 @@ def elementwise(op: str, a: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over the last two axes of equal-rank operands whose
-    leading (batch) axes are equal."""
+    """Product of two matrices."""
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
-        raise ShapeMismatchError(
-            f"matmul needs equal-rank operands of rank >= 2 with equal leading "
-            f"axes, got {a.shape} and {b.shape}"
-        )
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeMismatchError(
-            f"matmul inner extents differ: {a.shape} x {b.shape}"
-        )
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeMismatchError(f"matmul needs two matrices, got {a.shape} and {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeMismatchError(f"matmul inner extents differ: {a.shape} x {b.shape}")
     return a @ b
 
 
@@ -178,3 +175,34 @@ def conv2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     cout, cin, kh, kw = w.shape
     out = np.matmul(w.reshape(cout, cin * kh * kw), unfold2d(x, kh, kw))
     return out.reshape((x.shape[0], cout) + x.shape[2:])
+
+
+def conv_t(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Input adjoint of conv2d, the transposed convolution of an
+    [N,Cout,H,W] adjoint with a [Cout,Cin,kh,kw] kernel:
+    fold2d(W[Cout, Cin*kh*kw]^T @ g) per sample, a C-contiguous [N,Cin,H,W]."""
+    g = np.asarray(g)
+    w = np.asarray(w)
+    if g.ndim != 4 or w.ndim != 4 or g.shape[1] != w.shape[0]:
+        raise ShapeMismatchError(f"conv_t needs [N,Cout,H,W] and [Cout,Cin,kh,kw], "
+                                 f"got {g.shape} and {w.shape}")
+    n, cout, h, wd = g.shape
+    _, cin, kh, kw = w.shape
+    cols = np.matmul(w.reshape(cout, cin * kh * kw).T, g.reshape(n, cout, h * wd))
+    return fold2d(cols, (n, cin, h, wd), kh, kw)
+
+
+def conv_w(x: np.ndarray, g: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Kernel adjoint of conv2d for an [N,Cin,H,W] input and an [N,Cout,H,W]
+    output adjoint: the per-sample products g_n @ unfold2d(x)_n^T summed over
+    the batch, a [Cout,Cin,kh,kw] kernel. The patches are unfolded anew on
+    every call."""
+    x = np.asarray(x)
+    g = np.asarray(g)
+    if x.ndim != 4 or g.ndim != 4 or x.shape[:1] + x.shape[2:] != g.shape[:1] + g.shape[2:]:
+        raise ShapeMismatchError(f"conv_w needs [N,Cin,H,W] and [N,Cout,H,W], "
+                                 f"got {x.shape} and {g.shape}")
+    n, cin, h, wd = x.shape
+    cout = g.shape[1]
+    prods = np.matmul(g.reshape(n, cout, h * wd), unfold2d(x, kh, kw).swapaxes(-1, -2))
+    return np.sum(prods, axis=0).reshape(cout, cin, kh, kw)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sgdph import autodiff as ad
-from sgdph import nn
+from sgdph import nn, oracle, tensor
 from sgdph.data import gen_digits
 from sgdph.tensor import Rng, ShapeMismatchError
 
@@ -51,6 +51,11 @@ ELEMENTWISE_CHAINS = [
     ("mul-recip", lambda p: ad.sum_all(ad.mul(p, ad.recip(ad.cadd(ad.mul(p, p), 2.0))))),
     ("neg-sub", lambda p: ad.sum_all(ad.sub(ad.neg(p), ad.mul(p, p)))),
 ]
+
+
+# the operands of each convolution op: input x, kernel w, output adjoint g
+CONV_FAMILY = {"conv2d": ("x", "w"), "conv_t": ("g", "w"), "conv_w": ("x", "g")}
+OPERAND_SHAPES = {"x": (2, 2, 5, 5), "w": (3, 2, 3, 3), "g": (2, 3, 5, 5)}
 
 
 class TestFirstOrder:
@@ -115,21 +120,27 @@ class TestFirstOrder:
                     np.arange(6.0))
         np.testing.assert_allclose(g, np.full(6, 0.5), rtol=0, atol=0)
 
-    def test_conv2d_vs_fd(self):
+    @pytest.mark.parametrize("op,wrt", [(op, v) for op, names in CONV_FAMILY.items()
+                                        for v in names])
+    def test_conv_family_vs_fd(self, op, wrt):
+        # each of the three convolution ops as a function of each operand
         rng = Rng(11)
-        x = rng.normal((2, 2, 5, 5))
-        w0 = rng.normal((3, 2, 3, 3))
+        operands = [rng.normal(OPERAND_SHAPES[name]) for name in CONV_FAMILY[op]]
+        arg = CONV_FAMILY[op].index(wrt)
+        ad_op, np_op = getattr(ad, op), getattr(tensor, op)
+        extra = (3, 3) if op == "conv_w" else ()
 
         def build(p):
-            y = ad.conv2d(p.graph.constant(x), p)
+            args = [p if i == arg else p.graph.constant(v) for i, v in enumerate(operands)]
+            y = ad_op(*args, *extra)
             return ad.cmul(ad.sum_all(ad.mul(y, y)), 0.5)
 
-        def f(wv):
-            from sgdph.tensor import conv2d as conv_np
-            return float(0.5 * np.sum(conv_np(x, wv) ** 2))
+        def f(v):
+            args = [v if i == arg else u for i, u in enumerate(operands)]
+            return float(0.5 * np.sum(np_op(*args, *extra) ** 2))
 
-        g = grad_of(build, w0)
-        np.testing.assert_allclose(g, fd_grad(f, w0, h=1e-5), rtol=0, atol=1e-6)
+        g = grad_of(build, operands[arg])
+        np.testing.assert_allclose(g, fd_grad(f, operands[arg], h=1e-5), rtol=0, atol=1e-6)
 
 
 class TestSecondSweep:
@@ -255,6 +266,22 @@ def small_cnn_tape(model_name):
     return model, graph, env, loss, starts
 
 
+def record_fired(graph, fired):
+    """Wraps every recorded vjp so that each call appends (node, want)."""
+    def counted(node):
+        vjp = node.vjp
+
+        def wrapped(g, want):
+            fired.append((node, list(want)))
+            return vjp(g, want)
+
+        return wrapped
+
+    for node in graph.nodes:
+        if node.vjp is not None:
+            node.vjp = counted(node)
+
+
 def full_mask_hdiag(graph, p):
     """The second sweep with adjoints admitted into every node that depends
     on any leaf, as the first backward pass admits them: no cone pruning."""
@@ -285,20 +312,7 @@ class TestConePruning:
     def test_sweep_fires_only_inside_the_cone(self):
         _, graph, env, loss, starts = small_cnn_tape("cnn-bn")
         fired = []
-
-        def counted(node):
-            vjp = node.vjp
-
-            def wrapped(g, want):
-                fired.append((node, list(want)))
-                return vjp(g, want)
-
-            return wrapped
-
-        for node in graph.nodes:
-            if node.vjp is not None:
-                node.vjp = counted(node)
-
+        record_fired(graph, fired)
         p = env["bn2.beta"]
         ad.hessian_diag_1d(loss, p)
         # layers: conv1, bn1, relu, conv2, bn2, ...
@@ -325,6 +339,32 @@ class TestConePruning:
         fired.clear()
         full_mask_hdiag(graph, p)
         assert [n.id for n, _ in fired if n.id in upstream]
+
+
+class TestConvolutionTape:
+    def test_cnn_wn_curvature_through_the_kernel_adjoint(self):
+        # a weight-norm length reaches the loss only through the kernel, so
+        # its sweep differentiates the recorded kernel adjoint conv_w
+        model = nn.build_model("cnn-wn", Rng(0), in_shape=(1, 6, 6), n_classes=3)
+        x = Rng(1).normal((4, 1, 6, 6))
+        labels = np.array([0, 1, 2, 0])
+        _, loss, env = oracle.tape_gradients(model, x, "ce", labels, retain=True)
+        fired = []
+        record_fired(loss.graph, fired)
+        lossfn = oracle.model_lossfn(model, x, "ce", labels)
+        for name in ("conv1.gamma", "conv2.gamma"):
+            h = ad.hessian_diag_1d(loss, env[name])
+            rows = oracle.fd_hessian_block_1d(lossfn, model.values(), name).sum(axis=1)
+            assert oracle.max_rel_err(h, rows) <= 1e-5, name
+        assert {"conv2d", "conv_t", "conv_w"} <= {node.op for node, _ in fired}
+
+    @pytest.mark.parametrize("model_name", ["cnn-bn", "cnn-wn"])
+    def test_no_node_outgrows_the_largest_activation(self, model_name):
+        # a convolution's patch matrices live only inside its kernels; the
+        # layer outputs are the nodes just before each start, input included
+        _, graph, _, _, starts = small_cnn_tape(model_name)
+        largest = max(graph.nodes[s - 1].value.size for s in starts)
+        assert max(v.value.size for v in graph.nodes) <= largest
 
 
 class TestAdjointLifetime:

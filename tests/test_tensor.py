@@ -9,6 +9,8 @@ from sgdph.tensor import (
     Rng,
     ShapeMismatchError,
     conv2d,
+    conv_t,
+    conv_w,
     elementwise,
     fold2d,
     matmul,
@@ -100,17 +102,14 @@ class TestMatmul:
         with pytest.raises(ShapeMismatchError):
             matmul(np.zeros(3), np.zeros((3, 2)))
 
-    def test_batched_is_per_sample_product(self):
+    def test_rejects_rank_3(self):
+        # a convolution multiplies per sample inside its own kernels, so no
+        # caller needs a batch of products
         rng = Rng(12)
-        a = rng.normal((3, 2, 4))
-        b = rng.normal((3, 4, 5))
-        out = matmul(a, b)
-        for i in range(3):
-            np.testing.assert_allclose(out[i], matmul_loops(a[i], b[i]), rtol=0, atol=1e-14)
-        with pytest.raises(ShapeMismatchError, match="leading"):
-            matmul(a, rng.normal((2, 4, 5)))
-        with pytest.raises(ShapeMismatchError, match="leading"):
-            matmul(a, rng.normal((4, 5)))
+        with pytest.raises(ShapeMismatchError, match="two matrices"):
+            matmul(rng.normal((3, 2, 4)), rng.normal((3, 4, 5)))
+        with pytest.raises(ShapeMismatchError, match="two matrices"):
+            matmul(rng.normal((2, 4)), rng.normal((3, 4, 5)))
 
 
 class TestMoments:
@@ -184,6 +183,29 @@ class TestConv2d:
     def test_channel_mismatch(self):
         with pytest.raises(ShapeMismatchError, match="channel"):
             conv2d(np.zeros((1, 2, 4, 4)), np.zeros((1, 3, 2, 2)))
+
+
+class TestConvAdjoints:
+    @pytest.mark.parametrize("k", [3, 2])
+    def test_adjoint_identities(self, k):
+        # <conv2d(x, w), g> == <x, conv_t(g, w)> == <w, conv_w(x, g)>: the
+        # two adjoints of a bilinear map, for odd and for even kernels
+        rng = Rng(31 + k)
+        x = rng.normal((2, 3, 5, 4))
+        w = rng.normal((4, 3, k, k))
+        g = rng.normal((2, 4, 5, 4))
+        lhs = float(np.sum(conv2d(x, w) * g))
+        gx, gw = conv_t(g, w), conv_w(x, g, k, k)
+        assert gx.shape == x.shape and gx.flags.c_contiguous
+        assert gw.shape == w.shape
+        assert float(np.sum(x * gx)) == pytest.approx(lhs, rel=1e-12)
+        assert float(np.sum(w * gw)) == pytest.approx(lhs, rel=1e-12)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeMismatchError, match="conv_t"):
+            conv_t(np.zeros((1, 2, 4, 4)), np.zeros((3, 2, 3, 3)))
+        with pytest.raises(ShapeMismatchError, match="conv_w"):
+            conv_w(np.zeros((1, 2, 4, 4)), np.zeros((1, 3, 4, 5)), 3, 3)
 
 
 class TestUnfoldFold:
