@@ -10,6 +10,8 @@ import dataclasses
 import json
 import sys
 
+import numpy as np
+
 from . import autodiff as ad, nn, oracle, train as training
 from .config import ConfigError, load_config
 from .data import IdxFormatError
@@ -27,6 +29,16 @@ def _positive_int(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
     return n
+
+
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (np.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return tol
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gc = sub.add_parser("gradcheck", help="FD gradient check of every layer type")
     p_gc.add_argument("--seeds", type=_positive_int, default=3, help="seeds per layer case")
-    p_gc.add_argument("--tol", type=float, default=GRADCHECK_TOL)
+    p_gc.add_argument("--tol", type=_tolerance, default=GRADCHECK_TOL)
     return parser
 
 
@@ -134,12 +146,10 @@ def _cmd_compare(args) -> int:
 def _cmd_gradcheck(args) -> int:
     seeds = range(args.seeds)
     worst = oracle.gradcheck_layers(seeds)
-    failed = False
+    failed = {key for key, err in worst.items() if not err <= args.tol}  # NaN fails
     for key in sorted(worst):
-        flag = "" if worst[key] <= args.tol else "  FAIL"
-        print(f"{key}: {worst[key]:.3e}{flag}")
-        failed = failed or worst[key] > args.tol
-    print(f"max: {max(worst.values()):.3e} (tol {args.tol:.0e})")
+        print(f"{key}: {worst[key]:.3e}{'  FAIL' if key in failed else ''}")
+    print(f"max: {np.max(list(worst.values())):.3e} (tol {args.tol:.0e})")
     return 1 if failed else 0
 
 

@@ -211,6 +211,12 @@ def build_layer_case(case: str, seed: int):
     if case == "wnconv":
         model = nn.Model(case, [nn.WNConv("conv", 2, 3, 3, rng)])
         return model, xrng.normal((2, 2, 6, 6)), "sos", None
+    if case == "two-conv":
+        # conv2's input adjoint (conv_t) carries the loss back to conv1
+        model = nn.Model(case, [
+            nn.Conv2d("conv1", 2, 3, 3, rng), nn.ReLU(), nn.Conv2d("conv2", 3, 2, 3, rng),
+        ])
+        return model, xrng.normal((2, 2, 6, 6)), "sos", None
     if case == "batchnorm2d":
         model = nn.Model(case, [nn.BatchNorm("bn", 5)])
         return model, xrng.normal((12, 5)), "sos", None
@@ -230,19 +236,20 @@ def build_layer_case(case: str, seed: int):
     raise ValueError(f"unknown layer case {case!r}")
 
 
-LAYER_CASES = ("linear", "conv2d", "wnconv", "batchnorm2d", "batchnorm4d",
+LAYER_CASES = ("linear", "conv2d", "wnconv", "two-conv", "batchnorm2d", "batchnorm4d",
                "relu", "flatten-head")
 
 
 def gradcheck_layers(seeds, h: float = FD_STEP) -> dict[str, float]:
-    """Max entrywise relative FD error per (case, parameter) across seeds."""
+    """Max entrywise relative FD error per (case, parameter) across seeds;
+    a NaN error on any seed makes the entry NaN."""
     worst: dict[str, float] = {}
     for case in LAYER_CASES:
         for seed in seeds:
             model, x, loss, labels = build_layer_case(case, seed)
             for pname, err in gradcheck(model, x, h, loss, labels).items():
                 key = f"{case}:{pname}"
-                worst[key] = max(worst.get(key, 0.0), err)
+                worst[key] = float(np.maximum(worst.get(key, 0.0), err))
     return worst
 
 

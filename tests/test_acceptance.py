@@ -48,7 +48,8 @@ def test_criterion_01_layer_gradients_match_finite_differences():
     elapsed = time.perf_counter() - t0
     err = max(worst.values())
     ok = err <= 1e-5 and elapsed < 30
-    _report(1, ok, f"gradcheck 7 layer cases x 20 seeds: max rel err {err:.2e} "
+    _report(1, ok, f"gradcheck {len(oracle.LAYER_CASES)} layer cases x 20 seeds: "
+                   f"max rel err {err:.2e} "
                    f"<= 1e-5  ({elapsed:.1f}s < 30s)")
 
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from sgdph import oracle
 from sgdph.cli import cli
 from sgdph.data import write_idx
 
@@ -239,6 +240,21 @@ class TestGradcheck:
     def test_absurd_tolerance_fails(self, capsys):
         assert cli(["gradcheck", "--seeds", "1", "--tol", "1e-20"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_nan_error_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "gradcheck",
+                            lambda model, *a: {p.name: float("nan") for p in model.parameters()})
+        assert cli(["gradcheck", "--seeds", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "linear:fc.weight: nan  FAIL" in out
+        assert "max: nan" in out
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-0.5", "tight"])
+    def test_tolerance_not_finite_and_nonnegative_is_bad_usage(self, capsys, tol):
+        assert cli(["gradcheck", "--seeds", "1", "--tol", tol]) == 2
+        err = capsys.readouterr().err
+        assert "argument --tol:" in err and repr(tol) in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("seeds", ["0", "-1"])
     def test_seeds_below_one_is_bad_usage(self, capsys, seeds):

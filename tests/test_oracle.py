@@ -1,6 +1,8 @@
 """The finite-difference machinery itself, the diagonality audit, and the
 single-step closed-form check."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,17 @@ class TestModelOracles:
     def test_gradcheck_layers_single_seed(self):
         worst = oracle.gradcheck_layers([0])
         assert max(worst.values()) <= 1e-5
+
+    def test_gradcheck_layers_keeps_a_nan_error(self, monkeypatch):
+        # NaN on each case's first seed, a small error on its second: the
+        # worst error is the NaN, not the later finite one
+        calls = itertools.count()
+        monkeypatch.setattr(oracle, "gradcheck", lambda model, *a: {
+            p.name: float("nan") if next(calls) % 2 == 0 else 1e-9
+            for p in model.parameters()[:1]})
+        worst = oracle.gradcheck_layers([0, 1])
+        assert len(worst) == len(oracle.LAYER_CASES)
+        assert all(np.isnan(err) for err in worst.values())
 
     def test_preserve_bn_stats_restores(self):
         model = nn.build_model("mlp-bn", Rng(0), in_shape=(3,), n_classes=2)
