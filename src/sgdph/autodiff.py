@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor
-from .tensor import ShapeMismatchError, check_conv, elementwise
+from .tensor import ShapeMismatchError, elementwise
 
 CHANNELWISE_1D = "channelwise-1d"
 DENSE = "dense"
@@ -320,7 +320,7 @@ def conv2d(x: Variable, w: Variable) -> Variable:
     """Same-padded stride-1 cross-correlation of [N,Cin,H,W] with
     [Cout,Cin,kh,kw] (tensor.conv2d). Its vjps are the input adjoint
     conv_t(g, w) and the kernel adjoint conv_w(x, g)."""
-    check_conv(x.shape, w.shape)
+    value = tensor.conv2d(x.value, w.value)
     kh, kw = w.shape[2:]
 
     def vjp(g, want):
@@ -329,13 +329,14 @@ def conv2d(x: Variable, w: Variable) -> Variable:
             conv_w(x, g, kh, kw) if want[1] else None,
         ]
 
-    return _op(x.graph, tensor.conv2d(x.value, w.value), (x, w), vjp, "conv2d")
+    return _op(x.graph, value, (x, w), vjp, "conv2d")
 
 
 def conv_t(g: Variable, w: Variable) -> Variable:
     """Transposed convolution of an [N,Cout,H,W] adjoint with w
     (tensor.conv_t): conv2d's input adjoint. Being linear in each operand,
     it has the vjps conv2d(z, w) for g and conv_w(z, g) for w."""
+    value = tensor.conv_t(g.value, w.value)
     kh, kw = w.shape[2:]
 
     def vjp(z, want):
@@ -344,7 +345,7 @@ def conv_t(g: Variable, w: Variable) -> Variable:
             conv_w(z, g, kh, kw) if want[1] else None,
         ]
 
-    return _op(g.graph, tensor.conv_t(g.value, w.value), (g, w), vjp, "conv_t")
+    return _op(g.graph, value, (g, w), vjp, "conv_t")
 
 
 def conv_w(x: Variable, g: Variable, kh: int, kw: int) -> Variable:
