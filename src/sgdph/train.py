@@ -47,7 +47,7 @@ CKPT_VERSION = 1
 def _keep_freed_memory() -> None:
     """Lets glibc keep freed blocks in the heap for the next step to reuse.
 
-    A cnn-bn f32 batch-100 step builds and frees about 160 MiB of
+    A cnn-bn f32 batch-100 step builds and frees about 130 MiB of
     activation-sized tape arrays, and each curvature sweep up to 34 MiB
     more of transient adjoints (tracemalloc peak). When those come from
     mmap, or are trimmed off the top of the heap after Graph.release(),
@@ -59,12 +59,14 @@ def _keep_freed_memory() -> None:
     policy still trims the heap after each release, so both thresholds
     are set (setting either one also turns the dynamic policy off): the
     mmap threshold to 32 MiB, the 64-bit maximum that mallopt(3)
-    documents and above the largest f32 tape array (the 22.6 MB unfold of
-    conv2's 8-channel input; conv1's is 2.8 MB), and the trim threshold to
-    never. A repeated step then faults almost no pages. The cost is that
-    the process keeps its heap high-water mark (about 300 MiB after the
-    criterion 9 cnn-bn sgdph run) after train() returns; a malloc_trim
-    there would only re-fault it on the first step of the next train().
+    documents and above the largest f32 array of a step (the 22.6 MB
+    patch matrix of conv2's 8-channel input, a transient inside the
+    convolution kernels; the largest tape array is a 4.8 MB activation),
+    and the trim threshold to never. A repeated step then faults almost no
+    pages. The cost is that the process keeps its heap high-water mark
+    (about 200 MiB after the criterion 9 cnn-bn sgdph run) after train()
+    returns; a malloc_trim there would only re-fault it on the first step
+    of the next train().
     No-op off glibc."""
     import ctypes
 
