@@ -100,9 +100,6 @@ def _cmd_verify(args) -> int:
             print(f"no 1-D parameter named {args.param!r} in {args.model}", file=sys.stderr)
             return 1
         one_d = [args.param]
-    if not one_d:
-        print(f"model {args.model} has no 1-D parameters to audit", file=sys.stderr)
-        return 1
     # terminal-BN blocks are exactly quadratic in gamma/beta, so a large FD
     # step is exact and beats roundoff; deep blocks use the default step
     h = 0.25 if args.model == "bn-terminal" else oracle.FD_STEP

@@ -121,30 +121,37 @@ def _coerce(f, raw: str, key: str):
     return raw
 
 
+def _parse_item(text: str, where: str) -> tuple[str, object]:
+    """One key=value item -> (field name, coerced value)."""
+    if "=" not in text:
+        raise ConfigError(f"{where}: expected key=value, got {text!r}")
+    key, raw = (part.strip() for part in text.split("=", 1))
+    if key not in _KEY_TO_FIELD:
+        raise ConfigError(f"{where}: unknown config key {key!r}")
+    f = _KEY_TO_FIELD[key]
+    return f.name, _coerce(f, raw, key)
+
+
 def parse_kv_lines(lines, source: str = "<config>") -> dict:
-    """key=value lines -> field dict; blank lines and # comments skipped."""
+    """Config-file lines -> field dict; blank lines and # comments skipped."""
     out = {}
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        if "=" not in text:
-            raise ConfigError(f"{source}:{lineno}: expected key=value, got {line.strip()!r}")
-        key, raw = (part.strip() for part in text.split("=", 1))
-        if key not in _KEY_TO_FIELD:
-            raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
-        f = _KEY_TO_FIELD[key]
-        out[f.name] = _coerce(f, raw, key)
+        if text:
+            name, value = _parse_item(text, f"{source}:{lineno}")
+            out[name] = value
     return out
 
 
 def load_config(path: str, overrides: list[str] | None = None) -> RunConfig:
     """Reads a config file (none when path is empty) and applies --set
-    key=value overrides on top."""
+    key=value overrides on top. Comments belong to files only: an override
+    is exactly one key=value, so a '#' in its value is kept."""
     values = {}
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             values = parse_kv_lines(fh, source=path)
     for item in overrides or []:
-        values.update(parse_kv_lines([item], source=f"--set {item}"))
+        name, value = _parse_item(item, f"--set {item}")
+        values[name] = value
     return RunConfig(**values)

@@ -325,8 +325,9 @@ class Model:
 
 def build_model(name: str, rng: Rng, *, in_shape, n_classes: int,
                 dtype=np.float64) -> Model:
-    """Model zoo. Training architectures: "mlp-bn", "cnn-bn", "cnn-wn".
-    The small "*-terminal"/verification nets exist for oracle runs."""
+    """Model zoo. Training architectures: "mlp-bn", "cnn-bn", "cnn-wn";
+    "bn-terminal", whose BatchNorm block is diagonal in closed form, exists
+    for oracle runs."""
     if name == "mlp-bn":
         d = int(np.prod(in_shape))
         h = 32
@@ -335,24 +336,6 @@ def build_model(name: str, rng: Rng, *, in_shape, n_classes: int,
             BatchNorm("bn1", h, dtype),
             ReLU(),
             Linear("fc2", h, n_classes, rng, dtype),
-        ]
-    elif name == "mlp-bn2":
-        d = int(np.prod(in_shape))
-        layers = [
-            Linear("fc1", d, 8, rng, dtype),
-            BatchNorm("bn1", 8, dtype),
-            ReLU(),
-            Linear("fc2", 8, 6, rng, dtype),
-            BatchNorm("bn2", 6, dtype),
-            ReLU(),
-            Linear("fc3", 6, n_classes, rng, dtype),
-        ]
-    elif name == "mlp-plain":
-        d = int(np.prod(in_shape))
-        layers = [
-            Linear("fc1", d, 16, rng, dtype),
-            ReLU(),
-            Linear("fc2", 16, n_classes, rng, dtype),
         ]
     elif name == "bn-terminal":
         d = int(np.prod(in_shape))

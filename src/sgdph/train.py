@@ -338,11 +338,13 @@ def compare(cfg_a: RunConfig, cfg_b: RunConfig, csv_path: str = "compare.csv") -
             raise ConfigError(f"compare requires matching dataset/model, differs on {f!r}")
     if os.path.isdir(csv_path):
         raise ConfigError(f"compare output {csv_path} is a directory")
-    if cfg_a.out_metrics == cfg_b.out_metrics:
-        cfg_a = replace(cfg_a, out_metrics=cfg_a.out_metrics + ".a",
-                        out_checkpoint=cfg_a.out_checkpoint + ".a")
-        cfg_b = replace(cfg_b, out_metrics=cfg_b.out_metrics + ".b",
-                        out_checkpoint=cfg_b.out_checkpoint + ".b")
+    # each output path the two runs share gets its own suffix, so B never
+    # overwrites A's metrics or checkpoint
+    for f in ("out_metrics", "out_checkpoint"):
+        path = getattr(cfg_a, f)
+        if path == getattr(cfg_b, f):
+            cfg_a = replace(cfg_a, **{f: path + ".a"})
+            cfg_b = replace(cfg_b, **{f: path + ".b"})
     ra = train(cfg_a)
     rb = train(cfg_b)
     acc_a = {r["epoch"]: r["accuracy"] for r in ra.records if r["split"] == "test"}

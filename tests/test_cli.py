@@ -201,9 +201,11 @@ class TestVerify:
         assert err.startswith("error:") and str(tmp_path) in err
         assert "Traceback" not in err
 
-    def test_model_without_1d_params_fails(self, capsys):
+    def test_unknown_model_fails(self, capsys):
         assert cli(["verify", "--model", "mlp-plain"]) == 1
-        assert "no 1-D parameters" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: unknown model 'mlp-plain'" in err
+        assert "Traceback" not in err
 
 
 class TestCompare:

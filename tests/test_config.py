@@ -1,10 +1,16 @@
 """Config file parsing, dotted keys, coercion, and validation."""
 
 import dataclasses
+import re
+import sys
+import types
+from pathlib import Path
 
 import pytest
 
 from sgdph.config import ConfigError, RunConfig, load_config, parse_kv_lines
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestDefaults:
@@ -29,9 +35,9 @@ class TestParsing:
             "# a comment",
             "",
             "epochs = 5  # trailing comment",
-            "model=mlp-plain",
+            "model=cnn-wn",
         ])
-        assert out == {"epochs": 5, "model": "mlp-plain"}
+        assert out == {"epochs": 5, "model": "cnn-wn"}
 
     def test_dotted_keys_map_to_groups(self):
         out = parse_kv_lines(["dataset.noise = 0.25", "out.metrics = run.jsonl"])
@@ -73,6 +79,51 @@ class TestLoadConfig:
     def test_config_from_overrides(self):
         cfg = load_config("", ["optimizer=sgdm", "dataset.classes=3"])
         assert cfg.optimizer == "sgdm" and cfg.dataset_classes == 3
+
+    def test_override_keeps_hash_in_value(self, tmp_path):
+        # comments belong to files; an override is exactly one key=value
+        path = tmp_path / "run.cfg"
+        path.write_text("out.metrics = runs/a#1.jsonl\n", encoding="utf-8")
+        cfg = load_config(str(path), ["out.checkpoint=runs/a#1.ckpt"])
+        assert cfg.out_metrics == "runs/a"
+        assert cfg.out_checkpoint == "runs/a#1.ckpt"
+
+
+def load_bench_spec(monkeypatch):
+    """bench/spec.py, read-only: its source is executed, so nothing is
+    compiled or cached under bench/."""
+    path = ROOT / "bench" / "spec.py"
+    module = types.ModuleType("bench_spec")
+    # dataclasses looks the defining module up in sys.modules
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+class TestPinnedConfigs:
+    """configs/ holds the paired runs of the acceptance gate; bench/spec.py
+    still writes out the same recipes, and README names the files."""
+
+    def test_configs_match_bench_recipes_and_readme(self, monkeypatch):
+        spec = load_bench_spec(monkeypatch)
+        trainings = [w for w, _ in spec.WORKLOADS.values() if isinstance(w, spec.Training)]
+        paths = sorted((ROOT / "configs").glob("*.cfg"))
+        assert len(paths) == 5
+        covered = set()
+        for path in paths:
+            cfg = load_config(str(path))
+            data = "digits" if cfg.dataset_kind == "idx" else "blobs"
+            # every workload with this optimizer uses this config's recipe
+            recipes = {(w.tau, w.eta) for w in trainings if w.optimizer == cfg.optimizer}
+            assert recipes == {(cfg.tau, cfg.eta)}, path.name
+            covered.add((cfg.model, cfg.optimizer, data))
+        # every training workload runs the model, optimizer and data of a config
+        assert {(w.model, w.optimizer, w.data) for w in trainings} <= covered
+
+        named = re.findall(r"configs/[\w.-]+\.cfg", (ROOT / "README.md").read_text(encoding="utf-8"))
+        assert named
+        for name in named:
+            assert (ROOT / name).is_file(), name
 
 
 class TestValidation:

@@ -1,5 +1,7 @@
 """Layer forward semantics, dual-path agreement, and loss hand values."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from sgdph import autodiff as ad
 from sgdph import nn
 from sgdph.tensor import Rng, ShapeMismatchError, conv2d as conv2d_np
+
+import nets
 
 
 def run_v(model, x):
@@ -231,13 +235,13 @@ class TestModel:
             nn.Model("m", [nn.Linear("fc", 2, 2, rng), nn.Linear("fc", 2, 2, rng)])
 
     def test_values_returns_copies(self):
-        model = nn.build_model("mlp-plain", Rng(0), in_shape=(3,), n_classes=2)
+        model = nets.mlp_plain(Rng(0), in_shape=(3,), n_classes=2)
         values = model.values()
         values["fc1.weight"][:] = 0.0
         assert np.any(model.parameters()[0].value != 0.0)
 
     def test_set_values_roundtrip_and_shape_check(self):
-        model = nn.build_model("mlp-plain", Rng(0), in_shape=(3,), n_classes=2)
+        model = nets.mlp_plain(Rng(0), in_shape=(3,), n_classes=2)
         values = model.values()
         model.set_values(values)
         bad = dict(values)
@@ -264,7 +268,8 @@ class TestZoo:
         ("cnn-wn", (1, 8, 8)),
     ])
     def test_output_shape_and_path_agreement(self, name, in_shape):
-        model = nn.build_model(name, Rng(0), in_shape=in_shape, n_classes=3)
+        build = nets.TEST_NETS.get(name, functools.partial(nn.build_model, name))
+        model = build(Rng(0), in_shape=in_shape, n_classes=3)
         x = Rng(1).normal((5,) + in_shape)
         y_np = model.forward_np(x, training=True)
         expected_cols = 6 if name == "bn-terminal" else 3

@@ -10,6 +10,8 @@ from sgdph import autodiff as ad
 from sgdph import cli, nn, optim, oracle
 from sgdph.tensor import Rng
 
+import nets
+
 
 class TestMaxRelErr:
     def test_hand_values(self):
@@ -107,7 +109,7 @@ class TestFdHessianBlock:
 
 class TestModelOracles:
     def test_gradcheck_small_bn_mlp(self):
-        model = nn.build_model("mlp-bn2", Rng(0), in_shape=(4,), n_classes=3)
+        model = nets.mlp_bn2(Rng(0), in_shape=(4,), n_classes=3)
         x = Rng(1).normal((10, 4))
         labels = Rng(2).integers(0, 3, (10,))
         errs = oracle.gradcheck(model, x, loss="ce", labels=labels)
@@ -179,7 +181,7 @@ class TestDiagonalityReport:
     def test_interior_bn_has_offdiagonal_mass(self):
         # on a deep net the block is NOT diagonal; the extraction still
         # equals the row sums, which is the identity the optimizer consumes
-        model = nn.build_model("mlp-bn2", Rng(2), in_shape=(4,), n_classes=3)
+        model = nets.mlp_bn2(Rng(2), in_shape=(4,), n_classes=3)
         x = Rng(3).normal((10, 4))
         labels = Rng(4).integers(0, 3, (10,))
         rep = oracle.diagonality_report(model, x, "bn1.gamma", loss="ce", labels=labels)

@@ -16,6 +16,8 @@ from sgdph.config import ConfigError, RunConfig
 from sgdph.data import gen_blobs, write_digits_fixture
 from sgdph.tensor import Rng
 
+import nets
+
 
 def small_cfg(tmp_path, tag, **kwargs):
     base = dict(
@@ -292,10 +294,11 @@ class TestDatasets:
 
 
 class TestCompare:
-    def test_dense_only_curves_coincide(self, tmp_path):
+    def test_dense_only_curves_coincide(self, tmp_path, monkeypatch):
         # without 1-D parameters the two optimizers are the same algorithm
-        cfg_a = small_cfg(tmp_path, "cmp-a", model="mlp-plain", optimizer="sgdph")
-        cfg_b = small_cfg(tmp_path, "cmp-b", model="mlp-plain", optimizer="sgdm")
+        monkeypatch.setattr(nn, "build_model", lambda name, *a, **kw: nets.mlp_plain(*a, **kw))
+        cfg_a = small_cfg(tmp_path, "cmp-a", optimizer="sgdph")
+        cfg_b = small_cfg(tmp_path, "cmp-b", optimizer="sgdm")
         result = tr.compare(cfg_a, cfg_b, str(tmp_path / "dense.csv"))
         for _, acc_a, acc_b in result.rows:
             assert abs(acc_a - acc_b) <= 1e-9
@@ -326,3 +329,18 @@ class TestCompare:
         result = tr.compare(cfg_a, cfg_b, str(tmp_path / "s.csv"))
         assert result.result_a.metrics_path == shared + ".a"
         assert result.result_b.metrics_path == shared + ".b"
+
+    def test_shared_checkpoint_suffixed_on_its_own(self, tmp_path):
+        # distinct metrics paths, one checkpoint path: B must not overwrite A
+        shared = str(tmp_path / "model.ckpt")
+        cfg_a = small_cfg(tmp_path, "ck-a", optimizer="sgdph", out_checkpoint=shared)
+        cfg_b = small_cfg(tmp_path, "ck-b", optimizer="sgdm", out_checkpoint=shared)
+        result = tr.compare(cfg_a, cfg_b, str(tmp_path / "ck.csv"))
+        assert result.result_a.metrics_path == cfg_a.out_metrics
+        assert result.result_b.metrics_path == cfg_b.out_metrics
+        assert result.result_a.checkpoint_path == shared + ".a"
+        assert result.result_b.checkpoint_path == shared + ".b"
+        for res in (result.result_a, result.result_b):
+            saved = tr.load_checkpoint(res.checkpoint_path)
+            for p in res.model.parameters():
+                np.testing.assert_array_equal(saved[p.name], p.value)
