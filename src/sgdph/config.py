@@ -5,6 +5,7 @@ config is a valid blobs run."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 
 from .optim import SgdPhConfig, decayed_tau
@@ -132,11 +133,16 @@ def _parse_item(text: str, where: str) -> tuple[str, object]:
     return f.name, _coerce(f, raw, key)
 
 
+# a '#' opens a comment at the start of a line or after whitespace only, so
+# a value such as runs/a#1.jsonl keeps its '#'
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def parse_kv_lines(lines, source: str = "<config>") -> dict:
     """Config-file lines -> field dict; blank lines and # comments skipped."""
     out = {}
     for lineno, line in enumerate(lines, start=1):
-        text = line.split("#", 1)[0].strip()
+        text = _COMMENT.split(line, 1)[0].strip()
         if text:
             name, value = _parse_item(text, f"{source}:{lineno}")
             out[name] = value

@@ -74,8 +74,11 @@ def fd_gradient(lossfn, params: dict[str, np.ndarray], h: float = FD_STEP) -> di
 def fd_hessian_block_1d(lossfn, params: dict[str, np.ndarray], name: str,
                         h: float = FD_STEP) -> np.ndarray:
     """The full C x C second-difference Hessian block of one 1-D parameter,
-    built as central differences of central-difference gradients (4 loss
-    evaluations per entry, O(C^2) total), symmetrized as (H + H^T)/2."""
+    built as central differences of central-difference gradients,
+    symmetrized as (H + H^T)/2. Entry (i, j) reads the four points
+    L(w ± h e_i ± h e_j); entries (i, j) and (j, i) share them, and a
+    diagonal entry reads its unshifted point twice, so each distinct point
+    is evaluated once: 2C^2 + C loss evaluations in all."""
     _check_step(h)
     w = np.asarray(params[name], dtype=np.float64)
     if w.ndim != 1:
@@ -84,13 +87,21 @@ def fd_hessian_block_1d(lossfn, params: dict[str, np.ndarray], name: str,
     if c > 64:
         raise ValueError(f"block Hessian limited to C <= 64, got C = {c}")
     base = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
+    # shifts on distinct entries commute, so a point's key ignores their order
+    seen: dict[tuple, float] = {}
+
+    def point(shifts: dict[int, float]) -> float:
+        key = tuple(sorted(shifts.items()))
+        if key not in seen:
+            seen[key] = _eval(lossfn, base, name, shifts)
+        return seen[key]
 
     def grad_entry(j: int, i: int, si: float) -> float:
         sp = {i: si}
         sp[j] = sp.get(j, 0.0) + h
         sm = {i: si}
         sm[j] = sm.get(j, 0.0) - h
-        return (_eval(lossfn, base, name, sp) - _eval(lossfn, base, name, sm)) / (2.0 * h)
+        return (point(sp) - point(sm)) / (2.0 * h)
 
     out = np.zeros((c, c), dtype=np.float64)
     for i in range(c):
@@ -144,22 +155,45 @@ def model_lossfn(model: nn.Model, x: np.ndarray, loss: str = "sos", labels=None)
     """Array-path loss closure over parameter values, for FD oracles. Each
     ReLU is held at its mask z > 0 at the model's current values, so an FD
     step that carries a pre-activation across 0 stays on the smooth piece
-    the tape differentiates there (relu'' = 0)."""
-    x = np.asarray(x, dtype=np.float64)
-    base = {p.name: np.asarray(p.value, dtype=np.float64) for p in model.parameters()}
-    masks = []
-    z = x
+    the tape differentiates there (relu'' = 0).
+
+    The closure copies the model's values and caches, at them, the input of
+    every layer that has parameters. A call starts at the first layer whose
+    parameters differ from those copies in dtype, shape or bytes, from that
+    layer's cached input, so an FD step on a late parameter reruns only the
+    layers from its own on. Later changes to the model do not reach the
+    closure."""
+    base = {p.name: np.array(p.value, dtype=np.float64) for p in model.parameters()}
+    # per layer: its cached input, its parameters' base bytes, its ReLU mask;
+    # a call never starts at a layer without parameters, so none is cached
+    inputs, snaps, masks = [], [], []
+    z = np.array(x, dtype=np.float64)
     for layer in model.layers:
+        inputs.append(z if layer.params() else None)
+        snaps.append([(p.name, base[p.name].shape, base[p.name].tobytes())
+                      for p in layer.params()])
         masks.append(z > 0 if isinstance(layer, nn.ReLU) else None)
-        z = layer.forward_np(z, base, training=True)
+        # z * mask, as a call computes it: np.maximum gives +0 where this
+        # gives -0, and a cached input must hold what a call would compute
+        z = layer.forward_np(z, base, training=True) if masks[-1] is None else z * masks[-1]
+    inputs.append(z)  # the output, where a call that changes nothing starts
 
     def lossfn(values: dict[str, np.ndarray]) -> float:
-        z = x
-        for layer, mask in zip(model.layers, masks):
+        start = next((k for k, snap in enumerate(snaps)
+                      if not all(_same_bits(values[n], shape, data) for n, shape, data in snap)),
+                     len(snaps))
+        z = inputs[start]
+        for layer, mask in zip(model.layers[start:], masks[start:]):
             z = layer.forward_np(z, values, training=True) if mask is None else z * mask
         return _loss_np(loss, z, labels)
 
     return lossfn
+
+
+def _same_bits(v, shape: tuple, data: bytes) -> bool:
+    """Whether v is an f64 array of this shape holding exactly these bytes."""
+    return (isinstance(v, np.ndarray) and v.dtype == np.float64 and v.shape == shape
+            and v.tobytes() == data)
 
 
 def tape_gradients(model: nn.Model, x: np.ndarray, loss: str = "sos", labels=None,

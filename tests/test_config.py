@@ -39,6 +39,16 @@ class TestParsing:
         ])
         assert out == {"epochs": 5, "model": "cnn-wn"}
 
+    def test_hash_opens_a_comment_only_after_whitespace(self):
+        out = parse_kv_lines([
+            "  # an indented comment",
+            "out.metrics = runs/a#1.jsonl",
+            "out.checkpoint = runs/b.ckpt\t# after a tab",
+            "model = cnn-wn #no space after the hash",
+        ])
+        assert out == {"out_metrics": "runs/a#1.jsonl", "out_checkpoint": "runs/b.ckpt",
+                       "model": "cnn-wn"}
+
     def test_dotted_keys_map_to_groups(self):
         out = parse_kv_lines(["dataset.noise = 0.25", "out.metrics = run.jsonl"])
         assert out == {"dataset_noise": 0.25, "out_metrics": "run.jsonl"}
@@ -81,11 +91,11 @@ class TestLoadConfig:
         assert cfg.optimizer == "sgdm" and cfg.dataset_classes == 3
 
     def test_override_keeps_hash_in_value(self, tmp_path):
-        # comments belong to files; an override is exactly one key=value
+        # a '#' inside a value is kept, in a file and in an override
         path = tmp_path / "run.cfg"
         path.write_text("out.metrics = runs/a#1.jsonl\n", encoding="utf-8")
         cfg = load_config(str(path), ["out.checkpoint=runs/a#1.ckpt"])
-        assert cfg.out_metrics == "runs/a"
+        assert cfg.out_metrics == "runs/a#1.jsonl"
         assert cfg.out_checkpoint == "runs/a#1.ckpt"
 
 

@@ -107,6 +107,169 @@ class TestFdHessianBlock:
             oracle.fd_hessian_block_1d(lambda v: 0.0, {"g": np.ones(65)}, "g")
 
 
+def counting(lossfn):
+    """lossfn, plus a list whose length is the number of calls made."""
+    calls = []
+
+    def counted(values):
+        calls.append(None)
+        return lossfn(values)
+
+    return counted, calls
+
+
+def reference_block(lossfn, params, name, h=oracle.FD_STEP):
+    """The block as four fresh loss evaluations per entry, 4 C^2 in all: the
+    plain loop the memoised fd_hessian_block_1d must reproduce bit for bit."""
+    base = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
+    c = base[name].size
+
+    def evaluate(shifts):
+        w = base[name].copy()
+        for idx, s in shifts.items():
+            w[idx] += s
+        return float(lossfn({**base, name: w}))
+
+    def grad_entry(j, i, si):
+        sp = {i: si}
+        sp[j] = sp.get(j, 0.0) + h
+        sm = {i: si}
+        sm[j] = sm.get(j, 0.0) - h
+        return (evaluate(sp) - evaluate(sm)) / (2.0 * h)
+
+    out = np.zeros((c, c))
+    for i in range(c):
+        for j in range(c):
+            out[i, j] = (grad_entry(j, i, +h) - grad_entry(j, i, -h)) / (2.0 * h)
+    return 0.5 * (out + out.T)
+
+
+class TestMemoisedBlock:
+    """Each distinct probe point is evaluated once, and the block is the
+    one four evaluations per entry give."""
+
+    def check(self, lossfn, params, name, h=oracle.FD_STEP):
+        c = params[name].size
+        ref_fn, ref_calls = counting(lossfn)
+        new_fn, new_calls = counting(lossfn)
+        ref = reference_block(ref_fn, params, name, h)
+        block = oracle.fd_hessian_block_1d(new_fn, params, name, h)
+        np.testing.assert_array_equal(block, ref)
+        assert len(ref_calls) == 4 * c * c
+        assert len(new_calls) == 2 * c * c + c
+
+    def test_quadratic_closure(self):
+        rng = Rng(5)
+        a = rng.normal((5, 5))
+
+        def lossfn(values):
+            w = values["g"]
+            return float(0.5 * w @ a @ w + np.sum(np.cos(w)))
+
+        self.check(lossfn, {"g": rng.normal((5,)), "other": np.ones(2)}, "g", h=1e-3)
+
+    @pytest.mark.parametrize("name", ["bn1.gamma", "bn2.beta"])
+    def test_cnn_bn_verify_parameter(self, name):
+        model, x, loss, labels = cli._verify_input("cnn-bn", 0)
+        assert model.values()[name].size == (8 if name == "bn1.gamma" else 16)
+        self.check(oracle.model_lossfn(model, x, loss, labels), model.values(), name)
+
+
+def scratch_lossfn(model, x, loss, labels):
+    """The masked forward with no reuse: masks from a plain forward at the
+    model's values, then every layer run on every call."""
+    base = {p.name: np.asarray(p.value, dtype=np.float64) for p in model.parameters()}
+    x = np.asarray(x, dtype=np.float64)
+    masks, z = [], x
+    for layer in model.layers:
+        masks.append(z > 0 if isinstance(layer, nn.ReLU) else None)
+        z = layer.forward_np(z, base, training=True)
+
+    def lossfn(values):
+        z = x
+        for layer, mask in zip(model.layers, masks):
+            z = layer.forward_np(z, values, training=True) if mask is None else z * mask
+        return (nn.sum_of_squares_np(z) if loss == "sos"
+                else nn.softmax_cross_entropy_np(z, labels))
+
+    return lossfn
+
+
+def one_entry_steps(model, h=oracle.FD_STEP):
+    """One value dict per parameter, that parameter's middle entry moved by h."""
+    steps = []
+    for p in model.parameters():
+        values = model.values()
+        values[p.name].reshape(-1)[p.value.size // 2] += h
+        steps.append((p.name, values))
+    return steps
+
+
+class TestPrefixReuse:
+    """model_lossfn reruns only the layers from the first changed one, and
+    its value is the full masked forward's, bit for bit, whatever came
+    before the call."""
+
+    MODELS = ("cnn-bn", "cnn-wn", "mlp-bn", "bn-terminal")
+
+    @pytest.mark.parametrize("model_name", MODELS)
+    def test_every_one_entry_step_is_exact_in_any_order(self, model_name):
+        model, x, loss, labels = cli._verify_input(model_name, 0)
+        want = scratch_lossfn(model, x, loss, labels)
+        steps = [values for _, values in one_entry_steps(model)]
+        expected = [want(values) for values in steps]
+        lossfn = oracle.model_lossfn(model, x, loss, labels)
+        assert lossfn(model.values()) == want(model.values())
+        assert [lossfn(values) for values in steps] == expected
+        # late then early, and back: what a call computed never leaks
+        assert [lossfn(values) for values in reversed(steps)] == expected[::-1]
+        order = [k for pair in zip(reversed(range(len(steps))), range(len(steps)))
+                 for k in pair]
+        assert [lossfn(steps[k]) for k in order] == [expected[k] for k in order]
+        assert len(set(expected)) > 1
+
+    def test_a_late_step_skips_the_layers_before_it(self, monkeypatch):
+        model, x, loss, labels = cli._verify_input("cnn-bn", 0)
+        lossfn = oracle.model_lossfn(model, x, loss, labels)
+        ran = []
+        for k, layer in enumerate(model.layers):
+            def traced(z, values, training, _k=k, _f=layer.forward_np):
+                ran.append(_k)
+                return _f(z, values, training)
+            monkeypatch.setattr(layer, "forward_np", traced)
+        steps = dict(one_entry_steps(model))
+        names = [getattr(layer, "name", None) for layer in model.layers]
+        lossfn(steps["bn2.gamma"])
+        # conv1, bn1 and conv2 are skipped; the ReLUs run as held masks
+        assert [names[k] for k in ran] == ["bn2", None, "fc"]
+        ran.clear()
+        lossfn(steps["conv1.weight"])
+        assert [names[k] for k in ran] == ["conv1", "bn1", "conv2", "bn2", None, "fc"]
+
+    def test_an_f32_prefix_parameter_runs_the_full_forward(self):
+        model, x, loss, labels = cli._verify_input("cnn-bn", 0)
+        lossfn = oracle.model_lossfn(model, x, loss, labels)
+        values = model.values()
+        values["conv1.weight"] = values["conv1.weight"].astype(np.float32)
+        got = lossfn(values)
+        assert got == scratch_lossfn(model, x, loss, labels)(values)
+        assert got != lossfn(model.values())
+
+    def test_in_place_change_to_the_model_does_not_reach_the_closure(self):
+        model, x, loss, labels = cli._verify_input("cnn-bn", 0)
+        original = model.values()
+        steps = one_entry_steps(model)
+        lossfn = oracle.model_lossfn(model, x, loss, labels)
+        want = scratch_lossfn(model, x, loss, labels)
+        before = [lossfn(values) for _, values in steps] + [lossfn(original)]
+        for p in model.parameters():
+            p.value += 0.5
+        after = [lossfn(values) for _, values in steps] + [lossfn(original)]
+        assert after == before
+        # the mutated values are a new point, run in full with the held masks
+        assert lossfn(model.values()) == want(model.values())
+
+
 class TestModelOracles:
     def test_gradcheck_small_bn_mlp(self):
         model = nets.mlp_bn2(Rng(0), in_shape=(4,), n_classes=3)
