@@ -1,21 +1,25 @@
 """Reverse-mode tape over numpy values with a differentiable backward pass.
 
 Every adjoint the backward sweep builds is expressed through the same
-recorded operations as the forward pass, so when recording is left on
-the backward computation lands on the tape too. A second reverse sweep
-seeded with ones at a gradient vector g_p then computes d(sum g_p)/dp.
-For a 1-D parameter p of length C that vector is exactly H_pp @ 1, the
-row sums of p's Hessian block; it coincides with the block's diagonal
-whenever the block is diagonal, as it is for the scale and shift of a
-terminal batch-norm layer under an elementwise loss.
+operations as the forward pass, so the backward computation can land on
+the tape too. A retaining backward records only what can feed the
+gradient g_p of a channel-wise parameter: the adjoints of the nodes that
+depend on a channel-wise leaf. It computes every other adjoint off the
+tape with the same arithmetic. A second reverse sweep seeded with ones at
+g_p then computes d(sum g_p)/dp. For a 1-D parameter p of length C that
+vector is exactly H_pp @ 1, the row sums of p's Hessian block; it
+coincides with the block's diagonal whenever the block is diagonal, as it
+is for the scale and shift of a terminal batch-norm layer under an
+elementwise loss.
 
 Both sweeps run through one routine that lets adjoints flow only into a
 given set of nodes, a descendant cone found by one forward pass over the
-tape. The first backward pass admits the cone of the parameter leaves;
-the second admits only p's, the nodes between p and g_p that depend on
-p, since no other node's adjoint can reach p. Skipping the rest (the
-activations upstream of p above all) leaves every curvature vector bit
-for bit unchanged.
+tape, and records the adjoints of a second such cone. The first backward
+pass admits the cone of the parameter leaves and records that of the
+channel-wise leaves; the second admits only p's, the nodes between p and
+g_p that depend on p, since no other node's adjoint can reach p, and
+records nothing. Skipping the rest (the activations upstream of p above
+all) leaves every curvature vector bit for bit unchanged.
 
 The primitives do only what the layers ask of them. add, sub and mul take
 operands of equal shape; a layer broadcasts explicitly with reshape and
@@ -90,6 +94,44 @@ class Graph:
         self.nodes.clear()
         self.retained = None
         self.recording = False
+
+
+def keep_freed_memory() -> None:
+    """Lets glibc keep freed blocks in the heap for the next step to reuse.
+
+    A cnn-bn f32 batch-100 step builds and frees about 106 MiB of
+    activation-sized tape arrays, and each curvature sweep up to 34 MiB
+    more of transient adjoints (tracemalloc peak). When those come from
+    mmap, or are trimmed off the top of the heap after Graph.release(),
+    every step's arrays are page-faulted and zeroed by the kernel again.
+    Measured on cnn-bn f32 at batch 100 with a fixed 1 MiB mmap
+    threshold, over the 100-step criterion 9 run: about 123k minor
+    faults and 0.57 s of system CPU a step, 31% of the run's wall time,
+    and no lower peak RSS. glibc's default dynamic
+    policy still trims the heap after each release, so both thresholds
+    are set (setting either one also turns the dynamic policy off): the
+    mmap threshold to 32 MiB, the 64-bit maximum that mallopt(3)
+    documents and above the largest f32 array of a step (the 22.6 MB
+    patch matrix of conv2's 8-channel input, a transient inside the
+    convolution kernels; the largest tape array is a 4.8 MB activation),
+    and the trim threshold to never. A repeated step then faults almost no
+    pages. The cost is that the process keeps its heap high-water mark
+    (about 170 MiB after the criterion 9 cnn-bn sgdph run) after train()
+    returns; a malloc_trim there would only re-fault it on the first step
+    of the next train(). The oracle releases each tape it builds as well,
+    so it sets the same policy: with the heap trimmed, one desk-scale
+    tape_hdiag call on cnn-bn re-faulted about 400 pages.
+    No-op off glibc. train.train and oracle.tape_gradients call it."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 2**31 - 1)  # M_TRIM_THRESHOLD
 
 
 class Variable:
@@ -240,7 +282,8 @@ def log(a: Variable) -> Variable:
 
 
 def relu(a: Variable) -> Variable:
-    mask = (a.value > 0).astype(a.value.dtype)
+    # a bool mask: a quarter of an f32 one, and g * mask gives the same bits
+    mask = a.value > 0
 
     def vjp(g, want):
         return [cmul(g, mask)]
@@ -367,37 +410,65 @@ def conv_w(x: Variable, g: Variable, kh: int, kw: int) -> Variable:
 # backward machinery
 
 
-def _sweep(graph: Graph, root: Variable, reach: set[int]) -> dict[int, Variable]:
+def _sweep(graph: Graph, root: Variable, reach: set[int],
+           keep: set[int] = frozenset()) -> dict[int, Variable]:
     """Reverse accumulation of d(sum root)/d(node) from a ones seed at root.
-    Visits recorded nodes in strictly decreasing id order; each node's vjp
-    fires at most once, so every tape edge receives at most one adjoint
-    contribution. `reach` holds the ids of the nodes an adjoint must flow
-    into: parents outside it get no contribution, and each vjp receives the
-    per-parent mask so it builds only the contributions that are wanted.
-    A node whose parents are all outside `reach` does not fire.
+    Visits recorded nodes in strictly decreasing id order, so every tape
+    edge receives at most one adjoint contribution. `reach` holds the ids
+    of the nodes an adjoint must flow into: parents outside it get no
+    contribution, and each vjp receives the per-parent mask so it builds
+    only the contributions that are wanted. A node whose parents are all
+    outside `reach` does not fire.
+
+    `keep` holds the ids of the nodes whose adjoints are recorded, a
+    descendant cone within `reach`: a contribution into a parent in `keep`,
+    and the add that accumulates it, go on the tape; every other
+    contribution is computed off the tape with the same arithmetic. A node
+    with a parent in `keep` is in `keep` itself, so a recorded contribution
+    is built from a recorded adjoint. Such a node fires once for its
+    parents in `keep` and, if it wants any others, once more off the tape
+    for them. With `keep` empty the sweep records nothing.
 
     A node's adjoint is complete when the sweep reaches it, since every
     consumer has a higher id, so it is dropped there: once its vjp has
-    fired, with recording off nothing else refers to it and it is freed
-    while the sweep runs. The returned dict holds the adjoints of the
-    parentless nodes (leaves and constants) only."""
-    adj = {root.id: graph.constant(np.ones_like(root.value))}
-    for nid in range(root.id, -1, -1):
-        g = adj.get(nid)
-        if g is None:
-            continue
-        node = graph.nodes[nid]
-        if not node.parents:
-            continue
-        del adj[nid]
-        want = [p.id in reach for p in node.parents]
-        if not any(want):
-            continue
-        for p, c in zip(node.parents, node.vjp(g, want)):
-            if c is None:
+    fired, nothing else refers to an off-tape adjoint and it is freed while
+    the sweep runs. The returned dict holds the adjoints of the parentless
+    nodes (leaves and constants) only. The graph's recording flag is left
+    as the sweep found it."""
+    recording = graph.recording
+    graph.recording = root.id in keep
+    try:
+        adj = {root.id: graph.constant(np.ones_like(root.value))}
+        graph.recording = False
+        for nid in range(root.id, -1, -1):
+            g = adj.get(nid)
+            if g is None:
                 continue
-            prev = adj.get(p.id)
-            adj[p.id] = c if prev is None else add(prev, c)
+            node = graph.nodes[nid]
+            if not node.parents:
+                continue
+            del adj[nid]
+            want = [p.id in reach for p in node.parents]
+            if not any(want):
+                continue
+            if nid in keep:
+                kept = [p.id in keep for p in node.parents]
+                graph.recording = True
+                for p, c in zip(node.parents, node.vjp(g, kept)):
+                    if c is not None:
+                        prev = adj.get(p.id)
+                        adj[p.id] = c if prev is None else add(prev, c)
+                graph.recording = False
+                if kept == want:
+                    continue
+                want = [w and not k for w, k in zip(want, kept)]
+            for p, c in zip(node.parents, node.vjp(g, want)):
+                if c is None:
+                    continue
+                prev = adj.get(p.id)
+                adj[p.id] = c if prev is None else add(prev, c)
+    finally:
+        graph.recording = recording
     return adj
 
 
@@ -408,37 +479,37 @@ def _cone(graph: Graph, sources: list[Variable], last: int) -> set[int]:
     no sources give an empty cone."""
     cone = {s.id for s in sources}
     for node in graph.nodes[min(cone, default=last) + 1 : last + 1]:
-        if any(q.id in cone for q in node.parents):
-            cone.add(node.id)
+        for q in node.parents:
+            if q.id in cone:
+                cone.add(node.id)
+                break
     return cone
 
 
 def backward(loss: Variable, retain_differentiable: bool = False) -> dict[int, np.ndarray]:
     """Gradients of a scalar loss for every leaf, keyed by node id. With
-    retain_differentiable the adjoint computation is itself recorded and
-    the gradient Variables are kept on the graph, making a subsequent
-    hessian_diag_1d call valid."""
+    retain_differentiable the backward pass that feeds a channel-wise
+    gradient is itself recorded, and those gradient Variables are kept on
+    the graph, making a subsequent hessian_diag_1d call valid. Only the
+    adjoints of the channel-wise leaves' descendant cone go on the tape: no
+    other adjoint can reach a channel-wise gradient, so the rest (the dense
+    gradients, and the adjoints upstream of every channel-wise leaf) are
+    computed off the tape, bit for bit as they would be on it."""
     graph = loss.graph
     if loss.value.size != 1:
         raise NonScalarLossError(f"loss must be a scalar, got shape {loss.shape}")
     if loss.id < 0:
         raise MissingDifferentiableGraphError("loss was built while recording was off")
     leaves = [node for node in graph.nodes if node.op == "leaf"]
-    reach = _cone(graph, leaves, loss.id)
-    prev = graph.recording
-    graph.recording = bool(retain_differentiable)
-    try:
-        adj = _sweep(graph, loss, reach)
-    finally:
-        graph.recording = prev
+    one_d = [node for node in leaves if node.kind == CHANNELWISE_1D]
+    keep = _cone(graph, one_d, loss.id) if retain_differentiable else frozenset()
+    adj = _sweep(graph, loss, _cone(graph, leaves, loss.id), keep)
     grads: dict[int, np.ndarray] = {}
-    retained: dict[int, Variable] = {}
     for node in leaves:
         a = adj.get(node.id)
         grads[node.id] = np.zeros_like(node.value) if a is None else a.value.copy()
-        if a is not None:
-            retained[node.id] = a
-    graph.retained = retained if retain_differentiable else None
+    graph.retained = ({v.id: adj[v.id] for v in one_d if v.id in adj}
+                      if retain_differentiable else None)
     return grads
 
 
@@ -463,11 +534,6 @@ def hessian_diag_1d(loss: Variable, p: Variable) -> np.ndarray:
     g_p = graph.retained.get(p.id)
     if g_p is None:
         return np.zeros_like(p.value)
-    prev = graph.recording
-    graph.recording = False
-    try:
-        adj = _sweep(graph, g_p, _cone(graph, [p], g_p.id))
-    finally:
-        graph.recording = prev
+    adj = _sweep(graph, g_p, _cone(graph, [p], g_p.id))
     a = adj.get(p.id)
     return np.zeros_like(p.value) if a is None else np.array(a.value)

@@ -173,7 +173,9 @@ class BatchNorm(Layer):
         self._check_channels(x.shape)
         axes, keep = self._axes_and_keep(x.value.ndim, self.c)
         mu = ad.mean_axes(x, axes)
-        d = ad.sub(x, ad.broadcast_to(ad.reshape(mu, keep), x.shape))
+        # x + (-mu), bitwise x - mu: the backward negates the C-vector, where
+        # sub would negate a batch-sized adjoint
+        d = ad.add(x, ad.broadcast_to(ad.reshape(ad.neg(mu), keep), x.shape))
         var = ad.mean_axes(ad.mul(d, d), axes)
         # running stats track detached batch statistics
         self.running_mean = (1 - _STAT_MOMENTUM) * self.running_mean + _STAT_MOMENTUM * mu.value

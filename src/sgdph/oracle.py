@@ -199,7 +199,10 @@ def _same_bits(v, shape: tuple, data: bytes) -> bool:
 def tape_gradients(model: nn.Model, x: np.ndarray, loss: str = "sos", labels=None,
                    retain: bool = False):
     """One tape forward+backward; returns (grads by name, and with retain
-    also the loss Variable and parameter-leaf env for curvature calls)."""
+    also the loss Variable and parameter-leaf env for curvature calls).
+    Without retain the tape is released before returning; with it, the
+    caller releases loss.graph once done with it."""
+    ad.keep_freed_memory()
     graph = ad.Graph()
     with preserve_bn_stats(model):
         env = model.bind(graph)
@@ -208,14 +211,20 @@ def tape_gradients(model: nn.Model, x: np.ndarray, loss: str = "sos", labels=Non
         loss_var = _loss_v(loss, y, labels)
         grads_by_id = ad.backward(loss_var, retain_differentiable=retain)
     grads = {name: grads_by_id[var.id] for name, var in env.items()}
-    return (grads, loss_var, env) if retain else (grads, None, None)
+    if retain:
+        return grads, loss_var, env
+    graph.release()
+    return grads, None, None
 
 
 def tape_hdiag(model: nn.Model, x: np.ndarray, name: str, loss: str = "sos",
                labels=None) -> np.ndarray:
     """Channelwise curvature of one 1-D parameter via the double backward."""
     _, loss_var, env = tape_gradients(model, x, loss, labels, retain=True)
-    return ad.hessian_diag_1d(loss_var, env[name])
+    try:
+        return ad.hessian_diag_1d(loss_var, env[name])
+    finally:
+        loss_var.graph.release()
 
 
 def gradcheck(model: nn.Model, x: np.ndarray, h: float = FD_STEP,

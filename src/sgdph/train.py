@@ -44,42 +44,6 @@ CKPT_MAGIC = b"SGPH"
 CKPT_VERSION = 1
 
 
-def _keep_freed_memory() -> None:
-    """Lets glibc keep freed blocks in the heap for the next step to reuse.
-
-    A cnn-bn f32 batch-100 step builds and frees about 130 MiB of
-    activation-sized tape arrays, and each curvature sweep up to 34 MiB
-    more of transient adjoints (tracemalloc peak). When those come from
-    mmap, or are trimmed off the top of the heap after Graph.release(),
-    every step's arrays are page-faulted and zeroed by the kernel again.
-    Measured on cnn-bn f32 at batch 100 with a fixed 1 MiB mmap
-    threshold, over the 100-step criterion 9 run: about 123k minor
-    faults and 0.57 s of system CPU a step, 31% of the run's wall time,
-    and no lower peak RSS. glibc's default dynamic
-    policy still trims the heap after each release, so both thresholds
-    are set (setting either one also turns the dynamic policy off): the
-    mmap threshold to 32 MiB, the 64-bit maximum that mallopt(3)
-    documents and above the largest f32 array of a step (the 22.6 MB
-    patch matrix of conv2's 8-channel input, a transient inside the
-    convolution kernels; the largest tape array is a 4.8 MB activation),
-    and the trim threshold to never. A repeated step then faults almost no
-    pages. The cost is that the process keeps its heap high-water mark
-    (about 200 MiB after the criterion 9 cnn-bn sgdph run) after train()
-    returns; a malloc_trim there would only re-fault it on the first step
-    of the next train().
-    No-op off glibc."""
-    import ctypes
-
-    try:
-        mallopt = ctypes.CDLL("libc.so.6").mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 2**31 - 1)  # M_TRIM_THRESHOLD
-
-
 def make_dataset(cfg: RunConfig) -> Dataset:
     if cfg.dataset_kind == "blobs":
         return gen_blobs(cfg.dataset_n, cfg.dataset_dims, cfg.dataset_classes,
@@ -153,7 +117,7 @@ def _hessian_stats(state: optim.OptState, one_d_names: list[str]) -> list[dict]:
 
 
 def train(cfg: RunConfig) -> TrainResult:
-    _keep_freed_memory()
+    ad.keep_freed_memory()
     dataset = make_dataset(cfg)
     model = build_from_config(cfg, dataset)
     dtype = DTYPES[cfg.dtype]

@@ -246,13 +246,12 @@ class TestSecondSweep:
         assert graph.retained == {}
 
 
-def small_cnn_tape(model_name):
-    """An f32 model on a 4-image batch, its tape with the differentiable
-    backward retained, the parameter env, the loss, and the first tape id of
-    each layer's forward nodes (plus the loss's first id at the end)."""
-    model = nn.build_model(model_name, Rng(0), in_shape=(1, 6, 6), n_classes=3,
-                           dtype=np.float32)
-    x = Rng(1).normal((4, 1, 6, 6)).astype(np.float32)
+def small_cnn_loss(model_name, dtype=np.float32):
+    """A model on a 4-image batch, its tape up to the loss, the parameter
+    env, the loss, and the first tape id of each layer's forward nodes (plus
+    the loss's first id at the end)."""
+    model = nn.build_model(model_name, Rng(0), in_shape=(1, 6, 6), n_classes=3, dtype=dtype)
+    x = Rng(1).normal((4, 1, 6, 6)).astype(dtype)
     graph = ad.Graph()
     env = model.bind(graph)
     h = graph.constant(x)
@@ -262,6 +261,12 @@ def small_cnn_tape(model_name):
         h = layer.forward_v(h, env)
     starts.append(len(graph.nodes))
     loss = nn.softmax_cross_entropy(h, np.array([0, 1, 2, 0]))
+    return model, graph, env, loss, starts
+
+
+def small_cnn_tape(model_name):
+    """small_cnn_loss in f32, with the differentiable backward retained."""
+    model, graph, env, loss, starts = small_cnn_loss(model_name)
     ad.backward(loss, retain_differentiable=True)
     return model, graph, env, loss, starts
 
@@ -289,11 +294,7 @@ def full_mask_hdiag(graph, p):
     for v in graph.nodes:
         if v.op == "leaf" or any(q.id in admitted for q in v.parents):
             admitted.add(v.id)
-    graph.recording = False
-    try:
-        adj = ad._sweep(graph, graph.retained[p.id], admitted)
-    finally:
-        graph.recording = True
+    adj = ad._sweep(graph, graph.retained[p.id], admitted)
     return np.array(adj[p.id].value)
 
 
@@ -381,14 +382,10 @@ class TestAdjointLifetime:
         _, graph, env, loss, _ = small_cnn_tape("cnn-bn")
         p, g_p = env["bn1.gamma"], graph.retained[env["bn1.gamma"].id]
         leaves = [v for v in graph.nodes if v.op == "leaf"]
-        graph.recording = False
-        try:
-            sweeps = [
-                ad._sweep(graph, loss, ad._cone(graph, leaves, loss.id)),
-                ad._sweep(graph, g_p, ad._cone(graph, [p], g_p.id)),
-            ]
-        finally:
-            graph.recording = True
+        sweeps = [
+            ad._sweep(graph, loss, ad._cone(graph, leaves, loss.id)),
+            ad._sweep(graph, g_p, ad._cone(graph, [p], g_p.id)),
+        ]
         for adj in sweeps:
             assert p.id in adj
             assert all(not graph.nodes[nid].parents for nid in adj)
@@ -405,6 +402,55 @@ class TestAdjointLifetime:
         finally:
             tracemalloc.stop()
         assert peak / activation <= 16
+
+
+class TestRetainedBackward:
+    @pytest.mark.parametrize("model_name", ["cnn-bn", "cnn-wn"])
+    def test_every_recorded_node_feeds_a_channelwise_gradient(self, model_name):
+        _, graph, env, loss, _ = small_cnn_tape(model_name)
+        assert set(graph.retained) == {v.id for v in env.values()
+                                       if v.kind == ad.CHANNELWISE_1D}
+        feeds, todo = set(), list(graph.retained.values())
+        while todo:
+            v = todo.pop()
+            if v.id not in feeds:
+                feeds.add(v.id)
+                todo.extend(v.parents)
+        appended = range(loss.id + 1, len(graph.nodes))
+        assert appended and [i for i in appended if i not in feeds] == []
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("model_name", ["cnn-bn", "cnn-wn"])
+    def test_retaining_leaves_every_gradient_bitwise_unchanged(self, model_name, dtype):
+        # the dense gradients are computed off the tape, the channel-wise
+        # ones on it: both with the arithmetic of the plain backward
+        runs = []
+        for retain in (False, True):
+            _, _, env, loss, _ = small_cnn_loss(model_name, dtype)
+            grads = ad.backward(loss, retain_differentiable=retain)
+            runs.append({name: grads[v.id] for name, v in env.items()})
+        plain, retained = runs
+        for name, g in plain.items():
+            assert g.dtype == dtype and g.tobytes() == retained[name].tobytes(), name
+
+    def test_relu_captures_a_bool_mask(self):
+        _, graph, _, _, _ = small_cnn_tape("cnn-bn")
+        masks = [c.cell_contents for v in graph.nodes if v.op == "relu"
+                 for c in v.vjp.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+        assert [m.dtype for m in masks] == [np.bool_, np.bool_]
+
+    def test_retained_tape_is_bounded(self):
+        # distinct base arrays, so a view costs nothing beyond its base; the
+        # forward alone holds 12 activations
+        _, graph, _, _, _ = small_cnn_tape("cnn-bn")
+        bases = {}
+        for v in graph.nodes:
+            a = v.value
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            bases[id(a)] = a.nbytes
+        activation = np.zeros((4, 16, 6, 6), dtype=np.float32).nbytes
+        assert sum(bases.values()) / activation <= 24
 
 
 class TestTrainingScale:

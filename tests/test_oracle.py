@@ -1,7 +1,13 @@
 """The finite-difference machinery itself, the diagonality audit, and the
 single-step closed-form check."""
 
+import gc
 import itertools
+import os
+import platform
+import subprocess
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -328,6 +334,58 @@ class TestModelOracles:
         lossfn = oracle.model_lossfn(model, x)
         block = oracle.fd_hessian_block_1d(lossfn, model.values(), "bn1.gamma", h=0.25)
         np.testing.assert_allclose(extracted, block.sum(axis=1), rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("call", [
+        lambda m, x, y: oracle.tape_gradients(m, x, "ce", y),
+        lambda m, x, y: oracle.tape_hdiag(m, x, "bn1.gamma", "ce", y),
+        lambda m, x, y: oracle.gradcheck(m, x, loss="ce", labels=y),
+    ], ids=["tape_gradients", "tape_hdiag", "gradcheck"])
+    def test_tape_is_freed_without_the_gc(self, monkeypatch, call):
+        # every array the tape computed dies when the call returns, with the
+        # cyclic collector off: the oracle releases the tape it built
+        model = nn.build_model("mlp-bn", Rng(0), in_shape=(3,), n_classes=2)
+        x, labels = Rng(1).normal((8, 3)), np.array([0, 1] * 4)
+        refs = []
+        backward = ad.backward
+
+        def spy(loss, *args, **kwargs):
+            grads = backward(loss, *args, **kwargs)
+            refs.extend(weakref.ref(v.value) for v in loss.graph.nodes if v.parents)
+            return grads
+
+        monkeypatch.setattr(ad, "backward", spy)
+        gc.collect()
+        gc.disable()
+        try:
+            call(model, x, labels)
+            alive = sum(r() is not None for r in refs)
+        finally:
+            gc.enable()
+        assert refs and alive == 0
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap policy is set through glibc's mallopt")
+    def test_repeat_tape_hdiag_reuses_freed_heap(self):
+        # in a fresh process, where no train() has set the heap policy: a
+        # released tape's pages stay in the heap for the next call's tape
+        code = "\n".join([
+            "import resource",
+            "from sgdph import cli, oracle",
+            "cases = [cli._verify_input(m, 0) for m in ('cnn-bn', 'cnn-wn')]",
+            "def audit():",
+            "    for (model, x, loss, labels), p in zip(cases, ('bn1.gamma', 'conv1.gamma')):",
+            "        oracle.tape_hdiag(model, x, p, loss, labels)",
+            "audit()",
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+            "for _ in range(5):",
+            "    audit()",
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)",
+        ])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert int(out.stdout) < 100, f"{out.stdout.strip()} minor faults over 10 calls"
 
 
 class TestDiagonalityReport:
