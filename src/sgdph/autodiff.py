@@ -21,6 +21,12 @@ g_p that depend on p, since no other node's adjoint can reach p, and
 records nothing. Skipping the rest (the activations upstream of p above
 all) leaves every curvature vector bit for bit unchanged.
 
+Both decisions are made per tape edge, by the parent the edge leads to.
+A node holds one vjp per parent, and the sweep calls vjps[i] only when
+parents[i] is admitted, with recording on exactly when parents[i]'s
+adjoint is recorded. No op builds a contribution nobody asked for, and
+none is told which of its parents are admitted.
+
 The primitives do only what the layers ask of them. add, sub and mul take
 operands of equal shape; a layer broadcasts explicitly with reshape and
 broadcast_to, which keeps the rank. matmul takes two matrices. conv2d is
@@ -60,7 +66,7 @@ class Graph:
     consumers) and a backward pass visits them in strictly reverse id order.
 
     While `recording` is False, newly built Variables get id -1, are not
-    appended and hold no edges (no parents, no vjp): their values are still
+    appended and hold no edges (no parents, no vjps): their values are still
     computed, but no sweep can traverse them, and an off-tape adjoint keeps
     none of its operands alive."""
 
@@ -89,7 +95,7 @@ class Graph:
         nodes carry those closures, so the cycles exist only among the nodes
         this severs. No sweep may run afterwards."""
         for v in self.nodes:
-            v.vjp = None
+            v.vjps = ()
             v.parents = ()
         self.nodes.clear()
         self.retained = None
@@ -135,13 +141,15 @@ def keep_freed_memory() -> None:
 
 
 class Variable:
-    """One tape node: forward value, parent edges, and a vjp closure that
-    maps an output adjoint and a per-parent mask of wanted contributions to
-    a list with one contribution (or None where unwanted) per parent."""
+    """One tape node: forward value, parent edges, and one vjp per edge.
+    `vjps` is aligned with `parents`: vjps[i] maps the output adjoint to the
+    contribution flowing into parents[i]. Two consecutive edges that hold
+    the same function object get one contribution between them, built
+    once: that is how mul(a, a) builds g*a a single time for both."""
 
-    __slots__ = ("graph", "id", "value", "parents", "vjp", "kind", "op")
+    __slots__ = ("graph", "id", "value", "parents", "vjps", "kind", "op")
 
-    def __init__(self, graph, value, parents=(), vjp=None, kind=None, op=""):
+    def __init__(self, graph, value, parents=(), vjps=(), kind=None, op=""):
         self.graph = graph
         self.value = np.asarray(value)
         self.kind = kind
@@ -149,7 +157,7 @@ class Variable:
         self.id = graph._append(self)
         on_tape = self.id >= 0
         self.parents = tuple(parents) if on_tape else ()
-        self.vjp = vjp if on_tape else None
+        self.vjps = tuple(vjps) if on_tape else ()
 
     @property
     def shape(self):
@@ -163,8 +171,12 @@ class Variable:
         return f"Variable(id={self.id}, op={self.op!r}, shape={self.shape})"
 
 
-def _op(graph: Graph, value, parents, vjp, op: str) -> Variable:
-    return Variable(graph, value, parents, vjp, op=op)
+def _op(graph: Graph, value, parents, vjps, op: str) -> Variable:
+    return Variable(graph, value, parents, vjps, op=op)
+
+
+def _pass(g: Variable) -> Variable:
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -179,50 +191,33 @@ def _same_shape(op: str, a: Variable, b: Variable) -> None:
 
 def add(a: Variable, b: Variable) -> Variable:
     _same_shape("add", a, b)
-
-    def vjp(g, want):
-        return [g if want[0] else None, g if want[1] else None]
-
-    return _op(a.graph, a.value + b.value, (a, b), vjp, "add")
+    return _op(a.graph, a.value + b.value, (a, b), (_pass, _pass), "add")
 
 
 def sub(a: Variable, b: Variable) -> Variable:
     _same_shape("sub", a, b)
-
-    def vjp(g, want):
-        return [g if want[0] else None, neg(g) if want[1] else None]
-
-    return _op(a.graph, a.value - b.value, (a, b), vjp, "sub")
+    return _op(a.graph, a.value - b.value, (a, b), (_pass, neg), "sub")
 
 
 def neg(a: Variable) -> Variable:
-    def vjp(g, want):
-        return [neg(g)]
-
-    return _op(a.graph, -a.value, (a,), vjp, "neg")
+    return _op(a.graph, -a.value, (a,), (neg,), "neg")
 
 
 def mul(a: Variable, b: Variable) -> Variable:
     _same_shape("mul", a, b)
-
-    def vjp(g, want):
-        if a is b:  # both contributions are g*a: build it once
-            c = mul(g, a)
-            return [c, c]
-        return [
-            mul(g, b) if want[0] else None,
-            mul(g, a) if want[1] else None,
-        ]
-
-    return _op(a.graph, a.value * b.value, (a, b), vjp, "mul")
+    if a is b:  # both contributions are g*a: one function, so it is built once
+        def f(g):
+            return mul(g, a)
+        vjps = (f, f)
+    else:
+        vjps = (lambda g: mul(g, b), lambda g: mul(g, a))
+    return _op(a.graph, a.value * b.value, (a, b), vjps, "mul")
 
 
 def recip(a: Variable) -> Variable:
-    out = _op(a.graph, elementwise("recip", a.value), (a,), None, "recip")
+    out = _op(a.graph, elementwise("recip", a.value), (a,), (), "recip")
     if out.id >= 0:  # the vjp captures out; an off-tape node holds no vjp
-        def vjp(g, want):
-            return [neg(mul(g, mul(out, out)))]
-        out.vjp = vjp
+        out.vjps = (lambda g: neg(mul(g, mul(out, out))),)
     return out
 
 
@@ -233,11 +228,7 @@ def cadd(a: Variable, c) -> Variable:
         raise ShapeMismatchError(
             f"constant of shape {np.shape(c)} widens variable of shape {a.shape}"
         )
-
-    def vjp(g, want):
-        return [g]
-
-    return _op(a.graph, value, (a,), vjp, "cadd")
+    return _op(a.graph, value, (a,), (_pass,), "cadd")
 
 
 def cmul(a: Variable, c) -> Variable:
@@ -249,78 +240,48 @@ def cmul(a: Variable, c) -> Variable:
         raise ShapeMismatchError(
             f"constant of shape {np.shape(c)} widens variable of shape {a.shape}"
         )
-
-    def vjp(g, want):
-        return [cmul(g, c)]
-
-    return _op(a.graph, value, (a,), vjp, "cmul")
+    return _op(a.graph, value, (a,), (lambda g: cmul(g, c),), "cmul")
 
 
 def sqrt(a: Variable) -> Variable:
-    out = _op(a.graph, elementwise("sqrt", a.value), (a,), None, "sqrt")
+    out = _op(a.graph, elementwise("sqrt", a.value), (a,), (), "sqrt")
     if out.id >= 0:
-        def vjp(g, want):
-            return [mul(g, cmul(recip(out), 0.5))]
-        out.vjp = vjp
+        out.vjps = (lambda g: mul(g, cmul(recip(out), 0.5)),)
     return out
 
 
 def exp(a: Variable) -> Variable:
-    out = _op(a.graph, elementwise("exp", a.value), (a,), None, "exp")
+    out = _op(a.graph, elementwise("exp", a.value), (a,), (), "exp")
     if out.id >= 0:
-        def vjp(g, want):
-            return [mul(g, out)]
-        out.vjp = vjp
+        out.vjps = (lambda g: mul(g, out),)
     return out
 
 
 def log(a: Variable) -> Variable:
-    def vjp(g, want):
-        return [mul(g, recip(a))]
-
-    return _op(a.graph, elementwise("log", a.value), (a,), vjp, "log")
+    return _op(a.graph, elementwise("log", a.value), (a,), (lambda g: mul(g, recip(a)),), "log")
 
 
 def relu(a: Variable) -> Variable:
     # a bool mask: a quarter of an f32 one, and g * mask gives the same bits
     mask = a.value > 0
-
-    def vjp(g, want):
-        return [cmul(g, mask)]
-
-    return _op(a.graph, elementwise("relu", a.value), (a,), vjp, "relu")
+    return _op(a.graph, elementwise("relu", a.value), (a,), (lambda g: cmul(g, mask),), "relu")
 
 
 def matmul(a: Variable, b: Variable) -> Variable:
     """Product of two matrices (tensor.matmul)."""
-    value = tensor.matmul(a.value, b.value)
-
-    def vjp(g, want):
-        return [
-            matmul(g, transpose(b)) if want[0] else None,
-            matmul(transpose(a), g) if want[1] else None,
-        ]
-
-    return _op(a.graph, value, (a, b), vjp, "matmul")
+    return _op(a.graph, tensor.matmul(a.value, b.value), (a, b),
+               (lambda g: matmul(g, transpose(b)), lambda g: matmul(transpose(a), g)), "matmul")
 
 
 def transpose(a: Variable) -> Variable:
     if a.value.ndim != 2:
         raise ShapeMismatchError(f"transpose needs a matrix, got {a.shape}")
-
-    def vjp(g, want):
-        return [transpose(g)]
-
-    return _op(a.graph, a.value.T, (a,), vjp, "transpose")
+    return _op(a.graph, a.value.T, (a,), (transpose,), "transpose")
 
 
 def reshape(a: Variable, shape: tuple) -> Variable:
     src = a.shape
-
-    def vjp(g, want):
-        return [reshape(g, src)]
-
-    return _op(a.graph, a.value.reshape(shape), (a,), vjp, "reshape")
+    return _op(a.graph, a.value.reshape(shape), (a,), (lambda g: reshape(g, src),), "reshape")
 
 
 def broadcast_to(a: Variable, shape: tuple) -> Variable:
@@ -330,22 +291,19 @@ def broadcast_to(a: Variable, shape: tuple) -> Variable:
     if len(shape) != len(src):
         raise ShapeMismatchError(f"broadcast_to keeps the rank: cannot broadcast {src} to {shape}")
 
-    def vjp(g, want):
+    def vjp(g):
         axes = tuple(i for i, (s, t) in enumerate(zip(src, shape)) if s != t)
-        return [reshape(sum_axes(g, axes), src) if axes else g]
+        return reshape(sum_axes(g, axes), src) if axes else g
 
-    return _op(a.graph, np.broadcast_to(a.value, shape), (a,), vjp, "broadcast")
+    return _op(a.graph, np.broadcast_to(a.value, shape), (a,), (vjp,), "broadcast")
 
 
 def sum_axes(a: Variable, axes: tuple) -> Variable:
     axes = tuple(int(ax) % a.value.ndim for ax in axes)
     keep = tuple(1 if i in axes else d for i, d in enumerate(a.shape))
     src = a.shape
-
-    def vjp(g, want):
-        return [broadcast_to(reshape(g, keep), src)]
-
-    return _op(a.graph, np.sum(a.value, axis=axes), (a,), vjp, "sum")
+    return _op(a.graph, np.sum(a.value, axis=axes), (a,),
+               (lambda g: broadcast_to(reshape(g, keep), src),), "sum")
 
 
 def sum_all(a: Variable) -> Variable:
@@ -365,14 +323,8 @@ def conv2d(x: Variable, w: Variable) -> Variable:
     conv_t(g, w) and the kernel adjoint conv_w(x, g)."""
     value = tensor.conv2d(x.value, w.value)
     kh, kw = w.shape[2:]
-
-    def vjp(g, want):
-        return [
-            conv_t(g, w) if want[0] else None,
-            conv_w(x, g, kh, kw) if want[1] else None,
-        ]
-
-    return _op(x.graph, value, (x, w), vjp, "conv2d")
+    return _op(x.graph, value, (x, w),
+               (lambda g: conv_t(g, w), lambda g: conv_w(x, g, kh, kw)), "conv2d")
 
 
 def conv_t(g: Variable, w: Variable) -> Variable:
@@ -381,14 +333,8 @@ def conv_t(g: Variable, w: Variable) -> Variable:
     it has the vjps conv2d(z, w) for g and conv_w(z, g) for w."""
     value = tensor.conv_t(g.value, w.value)
     kh, kw = w.shape[2:]
-
-    def vjp(z, want):
-        return [
-            conv2d(z, w) if want[0] else None,
-            conv_w(z, g, kh, kw) if want[1] else None,
-        ]
-
-    return _op(g.graph, value, (g, w), vjp, "conv_t")
+    return _op(g.graph, value, (g, w),
+               (lambda z: conv2d(z, w), lambda z: conv_w(z, g, kh, kw)), "conv_t")
 
 
 def conv_w(x: Variable, g: Variable, kh: int, kw: int) -> Variable:
@@ -396,14 +342,8 @@ def conv_w(x: Variable, g: Variable, kh: int, kw: int) -> Variable:
     (tensor.conv_w), a [Cout,Cin,kh,kw] kernel. Its vjps are conv_t(g, k)
     for x and conv2d(x, k) for g. The node keeps x and g, never their
     patch matrix: the kernel unfolds x again on each call."""
-
-    def vjp(k, want):
-        return [
-            conv_t(g, k) if want[0] else None,
-            conv2d(x, k) if want[1] else None,
-        ]
-
-    return _op(x.graph, tensor.conv_w(x.value, g.value, kh, kw), (x, g), vjp, "conv_w")
+    return _op(x.graph, tensor.conv_w(x.value, g.value, kh, kw), (x, g),
+               (lambda k: conv_t(g, k), lambda k: conv2d(x, k)), "conv_w")
 
 
 # ---------------------------------------------------------------------------
@@ -414,23 +354,24 @@ def _sweep(graph: Graph, root: Variable, reach: set[int],
            keep: set[int] = frozenset()) -> dict[int, Variable]:
     """Reverse accumulation of d(sum root)/d(node) from a ones seed at root.
     Visits recorded nodes in strictly decreasing id order, so every tape
-    edge receives at most one adjoint contribution. `reach` holds the ids
-    of the nodes an adjoint must flow into: parents outside it get no
-    contribution, and each vjp receives the per-parent mask so it builds
-    only the contributions that are wanted. A node whose parents are all
-    outside `reach` does not fire.
+    edge receives at most one adjoint contribution. The sweep walks a
+    node's edges in parent order and decides each one by its parent alone:
+    an edge into a parent outside `reach`, the ids of the nodes an adjoint
+    must flow into, is skipped and its vjp never called. Consecutive edges
+    that hold the same function share one call and one contribution: the
+    two edges of mul(a, a) get a single g*a. A node whose parents are all
+    outside `reach` builds nothing.
 
     `keep` holds the ids of the nodes whose adjoints are recorded, a
-    descendant cone within `reach`: a contribution into a parent in `keep`,
-    and the add that accumulates it, go on the tape; every other
-    contribution is computed off the tape with the same arithmetic. A node
-    with a parent in `keep` is in `keep` itself, so a recorded contribution
-    is built from a recorded adjoint. Such a node fires once for its
-    parents in `keep` and, if it wants any others, once more off the tape
-    for them. With `keep` empty the sweep records nothing.
+    descendant cone within `reach`: an edge into a parent in `keep` builds
+    its contribution, and the add that accumulates it, on the tape; every
+    other edge builds its contribution off the tape with the same
+    arithmetic. A node with a parent in `keep` is in `keep` itself, so a
+    recorded contribution is built from a recorded adjoint. With `keep`
+    empty the sweep records nothing.
 
     A node's adjoint is complete when the sweep reaches it, since every
-    consumer has a higher id, so it is dropped there: once its vjp has
+    consumer has a higher id, so it is dropped there: once its edges have
     fired, nothing else refers to an off-tape adjoint and it is freed while
     the sweep runs. The returned dict holds the adjoints of the parentless
     nodes (leaves and constants) only. The graph's recording flag is left
@@ -439,7 +380,6 @@ def _sweep(graph: Graph, root: Variable, reach: set[int],
     graph.recording = root.id in keep
     try:
         adj = {root.id: graph.constant(np.ones_like(root.value))}
-        graph.recording = False
         for nid in range(root.id, -1, -1):
             g = adj.get(nid)
             if g is None:
@@ -448,23 +388,13 @@ def _sweep(graph: Graph, root: Variable, reach: set[int],
             if not node.parents:
                 continue
             del adj[nid]
-            want = [p.id in reach for p in node.parents]
-            if not any(want):
-                continue
-            if nid in keep:
-                kept = [p.id in keep for p in node.parents]
-                graph.recording = True
-                for p, c in zip(node.parents, node.vjp(g, kept)):
-                    if c is not None:
-                        prev = adj.get(p.id)
-                        adj[p.id] = c if prev is None else add(prev, c)
-                graph.recording = False
-                if kept == want:
+            last = None
+            for p, f in zip(node.parents, node.vjps):
+                if p.id not in reach:
                     continue
-                want = [w and not k for w, k in zip(want, kept)]
-            for p, c in zip(node.parents, node.vjp(g, want)):
-                if c is None:
-                    continue
+                graph.recording = p.id in keep
+                if f is not last:  # mul(a, a): both edges share one product
+                    c, last = f(g), f
                 prev = adj.get(p.id)
                 adj[p.id] = c if prev is None else add(prev, c)
     finally:

@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_train(args) -> int:
     cfg = load_config(args.config, getattr(args, "set"))
     result = training.train(cfg)
-    print(f"wrote {result.metrics_path} and {result.checkpoint_path}")
+    print(f"wrote {cfg.out_metrics} and {cfg.out_checkpoint}")
     print(f"final test accuracy: {result.final_test_accuracy:.4f}")
     return 0
 

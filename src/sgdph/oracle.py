@@ -227,12 +227,12 @@ def tape_hdiag(model: nn.Model, x: np.ndarray, name: str, loss: str = "sos",
         loss_var.graph.release()
 
 
-def gradcheck(model: nn.Model, x: np.ndarray, h: float = FD_STEP,
-              loss: str = "sos", labels=None) -> dict[str, float]:
+def gradcheck(model: nn.Model, x: np.ndarray, loss: str = "sos",
+              labels=None) -> dict[str, float]:
     """Entrywise relative error between tape gradients and central
-    differences, per parameter, in f64 training mode."""
+    differences (step FD_STEP), per parameter, in f64 training mode."""
     grads, _, _ = tape_gradients(model, x, loss, labels)
-    fd = fd_gradient(model_lossfn(model, x, loss, labels), model.values(), h)
+    fd = fd_gradient(model_lossfn(model, x, loss, labels), model.values())
     return {name: max_rel_err(grads[name], fd[name]) for name in fd}
 
 
@@ -283,14 +283,14 @@ LAYER_CASES = ("linear", "conv2d", "wnconv", "two-conv", "batchnorm2d", "batchno
                "relu", "flatten-head")
 
 
-def gradcheck_layers(seeds, h: float = FD_STEP) -> dict[str, float]:
+def gradcheck_layers(seeds) -> dict[str, float]:
     """Max entrywise relative FD error per (case, parameter) across seeds;
     a NaN error on any seed makes the entry NaN."""
     worst: dict[str, float] = {}
     for case in LAYER_CASES:
         for seed in seeds:
             model, x, loss, labels = build_layer_case(case, seed)
-            for pname, err in gradcheck(model, x, h, loss, labels).items():
+            for pname, err in gradcheck(model, x, loss, labels).items():
                 key = f"{case}:{pname}"
                 worst[key] = float(np.maximum(worst.get(key, 0.0), err))
     return worst
@@ -367,12 +367,13 @@ def newton_step_check(a, gamma0, opt: optim.SgdPhConfig, b=0.0,
         ad.sum_all(ad.cmul(ad.mul(gvar, gvar), 0.5 * a)),
         ad.sum_all(ad.cmul(gvar, b)),
     )
-    grads = ad.backward(loss, retain_differentiable=True)
+    grad = ad.backward(loss, retain_differentiable=True)[gvar.id]
     h = ad.hessian_diag_1d(loss, gvar)
+    graph.release()
 
     param = nn.Parameter("gamma", gamma0.copy(), ad.CHANNELWISE_1D)
     state = optim.OptState([param])
-    optim.step([param], {"gamma": grads[gvar.id]}, {"gamma": h}, opt, state)
+    optim.step([param], {"gamma": grad}, {"gamma": h}, opt, state)
     applied = param.value - gamma0
 
     g_hand = a * gamma0 + b

@@ -82,9 +82,6 @@ class TrainResult:
     model: nn.Model
     dataset: Dataset
     records: list[dict]
-    counters: dict[str, int]
-    metrics_path: str
-    checkpoint_path: str
 
     @property
     def final_test_accuracy(self) -> float:
@@ -125,7 +122,6 @@ def train(cfg: RunConfig) -> TrainResult:
     one_d = [p.name for p in params if p.kind == ad.CHANNELWISE_1D]
     use_hessian = cfg.optimizer == "sgdph" and bool(one_d)
     state = optim.OptState(params)
-    counters = {"steps": 0, "hdiag_calls": 0, "backward_calls": 0}
     records: list[dict] = []
 
     x_train = dataset.x_train.astype(dtype)
@@ -172,7 +168,6 @@ def train(cfg: RunConfig) -> TrainResult:
                     )
 
                 grads_by_id = ad.backward(loss_var, retain_differentiable=use_hessian)
-                counters["backward_calls"] += 1
                 grads = {name: grads_by_id[var.id] for name, var in env.items()}
 
                 try:
@@ -180,13 +175,11 @@ def train(cfg: RunConfig) -> TrainResult:
                         hdiags = {}
                         for pname in one_d:
                             hdiags[pname] = ad.hessian_diag_1d(loss_var, env[pname])
-                            counters["hdiag_calls"] += 1
                         optim.step(params, grads, hdiags, step_cfg, state)
                     else:
                         optim.sgdm_step(params, grads, step_cfg, state)
                 except optim.InvariantViolation as e:
                     raise TrainAbortError(f"epoch {epoch} step {step}: {e}") from e
-                counters["steps"] += 1
                 # a step's tape is large (activations plus the differentiable
                 # backward) and cyclic; free it now, not at the next gc pass
                 graph.release()
@@ -202,8 +195,7 @@ def train(cfg: RunConfig) -> TrainResult:
                          hstats()))
 
     save_checkpoint(cfg.out_checkpoint, model, cfg.dtype)
-    return TrainResult(cfg, model, dataset, records, counters,
-                       cfg.out_metrics, cfg.out_checkpoint)
+    return TrainResult(cfg, model, dataset, records)
 
 
 # ---------------------------------------------------------------------------

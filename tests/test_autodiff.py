@@ -272,19 +272,23 @@ def small_cnn_tape(model_name):
 
 
 def record_fired(graph, fired):
-    """Wraps every recorded vjp so that each call appends (node, want)."""
-    def counted(node):
-        vjp = node.vjp
-
-        def wrapped(g, want):
-            fired.append((node, list(want)))
-            return vjp(g, want)
+    """Wraps every recorded vjp so that each call appends (node, parent
+    index). The two edges of mul(a, a) keep one shared wrapper, so the sweep
+    still builds g*a once for both; add's two _pass edges get one wrapper
+    each, which returns g either way."""
+    def counted(node, i, f):
+        def wrapped(g):
+            fired.append((node, i))
+            return f(g)
 
         return wrapped
 
     for node in graph.nodes:
-        if node.vjp is not None:
-            node.vjp = counted(node)
+        wrapped = []
+        for i, (p, f) in enumerate(zip(node.parents, node.vjps)):
+            shared = i and f is node.vjps[i - 1] and p is node.parents[i - 1]
+            wrapped.append(wrapped[-1] if shared else counted(node, i, f))
+        node.vjps = tuple(wrapped)
 
 
 def full_mask_hdiag(graph, p):
@@ -332,9 +336,8 @@ class TestConePruning:
                     todo.extend(v.parents)
             return False
 
-        for node, want in fired:
-            for q, w in zip(node.parents, want):
-                assert not w or depends_on_p(q), (node, q)
+        for node, i in fired:
+            assert depends_on_p(node.parents[i]), (node, i)
 
         # the unpruned sweep does fire the upstream nodes, so the counter sees them
         fired.clear()
@@ -373,10 +376,10 @@ class TestAdjointLifetime:
         graph = ad.Graph()
         a = graph.variable(np.array([0.5, 2.0]))
         on_tape = [ad.mul(a, a), ad.recip(a), ad.sqrt(a), ad.exp(a)]
-        assert all(v.id >= 0 and v.parents and v.vjp is not None for v in on_tape)
+        assert all(v.id >= 0 and len(v.vjps) == len(v.parents) > 0 for v in on_tape)
         graph.recording = False
         for v in (ad.mul(a, a), ad.recip(a), ad.sqrt(a), ad.exp(a)):
-            assert (v.id, v.parents, v.vjp) == (-1, (), None), v.op
+            assert (v.id, v.parents, v.vjps) == (-1, (), ()), v.op
 
     def test_sweep_returns_only_parentless_adjoints(self):
         _, graph, env, loss, _ = small_cnn_tape("cnn-bn")
@@ -402,6 +405,54 @@ class TestAdjointLifetime:
         finally:
             tracemalloc.stop()
         assert peak / activation <= 16
+
+
+class TestEdges:
+    @pytest.mark.parametrize("model_name", ["cnn-bn", "cnn-wn"])
+    def test_one_vjp_per_edge_and_none_off_the_tape(self, model_name, monkeypatch):
+        built = []
+        init = ad.Variable.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(ad.Variable, "__init__", spy)
+        model, graph, env, loss, _ = small_cnn_tape(model_name)
+        for p in model.parameters():
+            if p.kind == ad.CHANNELWISE_1D:
+                ad.hessian_diag_1d(loss, env[p.name])
+        on_tape = [v for v in built if v.id >= 0]
+        off_tape = [v for v in built if v.id < 0]
+        assert len(on_tape) == len(graph.nodes) and off_tape
+        assert all(len(v.vjps) == len(v.parents) for v in graph.nodes)
+        assert all(v.vjps == () and v.parents == () for v in off_tape)
+
+    @pytest.mark.parametrize("model_name, recorded", [("cnn-bn", [0, 1]),
+                                                      ("cnn-wn", [0, 0])])
+    def test_a_square_builds_its_product_once(self, model_name, recorded):
+        # mul(a, a) holds one function on both edges, so the retained
+        # backward calls it once: bn2's mul(d, d) records one mul, not two
+        _, graph, _, loss, _ = small_cnn_loss(model_name)
+        squares = [v for v in graph.nodes if v.op == "mul" and v.parents[0] is v.parents[1]]
+        calls = {v.id: [] for v in squares}
+
+        def counted(node, f):
+            def wrapped(g):
+                before = len(graph.nodes)
+                c = f(g)
+                calls[node.id].append([v.op for v in graph.nodes[before:]])
+                return c
+
+            return wrapped
+
+        for v in squares:
+            f = counted(v, v.vjps[0])
+            v.vjps = (f, f)
+        ad.backward(loss, retain_differentiable=True)
+        assert [len(c) for c in calls.values()] == [1, 1]
+        assert [len(c[0]) for c in calls.values()] == recorded
+        assert all(op == "mul" for c in calls.values() for op in c[0])
 
 
 class TestRetainedBackward:
@@ -436,7 +487,7 @@ class TestRetainedBackward:
     def test_relu_captures_a_bool_mask(self):
         _, graph, _, _, _ = small_cnn_tape("cnn-bn")
         masks = [c.cell_contents for v in graph.nodes if v.op == "relu"
-                 for c in v.vjp.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+                 for c in v.vjps[0].__closure__ if isinstance(c.cell_contents, np.ndarray)]
         assert [m.dtype for m in masks] == [np.bool_, np.bool_]
 
     def test_retained_tape_is_bounded(self):

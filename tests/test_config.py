@@ -1,6 +1,8 @@
-"""Config file parsing, dotted keys, coercion, and validation."""
+"""Config file parsing, dotted keys, coercion, and validation; the
+recipes and program names the benchmark reads."""
 
 import dataclasses
+import importlib
 import re
 import sys
 import types
@@ -99,11 +101,11 @@ class TestLoadConfig:
         assert cfg.out_checkpoint == "runs/a#1.ckpt"
 
 
-def load_bench_spec(monkeypatch):
-    """bench/spec.py, read-only: its source is executed, so nothing is
+def load_bench_module(monkeypatch, stem):
+    """bench/<stem>.py, read-only: its source is executed, so nothing is
     compiled or cached under bench/."""
-    path = ROOT / "bench" / "spec.py"
-    module = types.ModuleType("bench_spec")
+    path = ROOT / "bench" / f"{stem}.py"
+    module = types.ModuleType(f"bench_{stem}")
     # dataclasses looks the defining module up in sys.modules
     monkeypatch.setitem(sys.modules, module.__name__, module)
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
@@ -115,7 +117,7 @@ class TestPinnedConfigs:
     still writes out the same recipes, and README names the files."""
 
     def test_configs_match_bench_recipes_and_readme(self, monkeypatch):
-        spec = load_bench_spec(monkeypatch)
+        spec = load_bench_module(monkeypatch, "spec")
         trainings = [w for w, _ in spec.WORKLOADS.values() if isinstance(w, spec.Training)]
         paths = sorted((ROOT / "configs").glob("*.cfg"))
         assert len(paths) == 5
@@ -134,6 +136,20 @@ class TestPinnedConfigs:
         assert named
         for name in named:
             assert (ROOT / name).is_file(), name
+
+
+class TestTracedNames:
+    def test_every_wrapped_attribute_exists(self, monkeypatch):
+        # the tracer patches these by name; a rename in sgdph would break
+        # only a traced bench run
+        tracing = load_bench_module(monkeypatch, "tracing")
+        assert tracing.WRAPPED
+        for module_name, attr in tracing.WRAPPED:
+            target = importlib.import_module(f"sgdph.{module_name}")
+            for part in attr.split("."):
+                target = getattr(target, part, None)
+                assert target is not None, f"sgdph.{module_name}.{attr}"
+            assert callable(target), f"sgdph.{module_name}.{attr}"
 
 
 class TestValidation:

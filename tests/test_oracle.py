@@ -339,7 +339,10 @@ class TestModelOracles:
         lambda m, x, y: oracle.tape_gradients(m, x, "ce", y),
         lambda m, x, y: oracle.tape_hdiag(m, x, "bn1.gamma", "ce", y),
         lambda m, x, y: oracle.gradcheck(m, x, loss="ce", labels=y),
-    ], ids=["tape_gradients", "tape_hdiag", "gradcheck"])
+        lambda m, x, y: oracle.newton_step_check(np.array([2.0, -1.0, 0.0]),
+                                                 np.array([1.0, -0.5, 2.0]),
+                                                 optim.SgdPhConfig()),
+    ], ids=["tape_gradients", "tape_hdiag", "gradcheck", "newton_step_check"])
     def test_tape_is_freed_without_the_gc(self, monkeypatch, call):
         # every array the tape computed dies when the call returns, with the
         # cyclic collector off: the oracle releases the tape it built
@@ -437,9 +440,9 @@ class TestKinkFreezing:
 
         def scaled_sqrt(a):
             out = sqrt(a)
-            if out.vjp is not None:
-                vjp = out.vjp
-                out.vjp = lambda g, want: [ad.cmul(v, 1.001) for v in vjp(g, want)]
+            if out.vjps:
+                (vjp,) = out.vjps
+                out.vjps = (lambda g: ad.cmul(vjp(g), 1.001),)
             return out
 
         monkeypatch.setattr(ad, "sqrt", scaled_sqrt)

@@ -68,7 +68,6 @@ class TestTrainLoop:
         # 100 examples -> 80 train, batch 30 -> batches of 30/30/20
         cfg = small_cfg(tmp_path, "partial", optimizer="sgdm", epochs=1, batch_size=30)
         result = tr.train(cfg)
-        assert result.counters["steps"] == 3
         train_recs = [r for r in result.records if r["split"] == "train"]
         assert [r["step"] for r in train_recs] == [0, 1, 2]
         assert [r for r in result.records if r["split"] == "test"][0]["step"] == 3
@@ -160,7 +159,7 @@ def test_repeat_train_reuses_freed_heap(tmp_path):
                     dataset_test_labels=paths["test_labels"],
                     out_metrics=str(tmp_path / "m.jsonl"),
                     out_checkpoint=str(tmp_path / "m.ckpt"))
-    assert tr.train(cfg).counters["steps"] == 1
+    assert [r["step"] for r in tr.train(cfg).records if r["split"] == "train"] == [0]
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     tr.train(cfg)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
@@ -168,19 +167,35 @@ def test_repeat_train_reuses_freed_heap(tmp_path):
 
 
 class TestCounters:
-    def test_sgdph_one_hdiag_call_per_1d_param_per_step(self, tmp_path):
-        cfg = small_cfg(tmp_path, "c1", optimizer="sgdph")
-        result = tr.train(cfg)
+    @staticmethod
+    def spy_calls(monkeypatch) -> dict[str, int]:
+        """Counts the training loop's backward and curvature calls."""
+        calls = {"backward": 0, "hessian_diag_1d": 0}
+        for name in calls:
+            def spy(*args, _name=name, _call=getattr(ad, name), **kwargs):
+                calls[_name] += 1
+                return _call(*args, **kwargs)
+
+            monkeypatch.setattr(ad, name, spy)
+        return calls
+
+    @staticmethod
+    def steps(result) -> int:
+        return sum(r["split"] == "train" for r in result.records)
+
+    def test_sgdph_one_hdiag_call_per_1d_param_per_step(self, tmp_path, monkeypatch):
+        calls = self.spy_calls(monkeypatch)
+        result = tr.train(small_cfg(tmp_path, "c1", optimizer="sgdph"))
         one_d = [p for p in result.model.parameters() if p.kind == "channelwise-1d"]
         assert len(one_d) == 2  # bn gamma and beta
-        assert result.counters["hdiag_calls"] == result.counters["steps"] * len(one_d)
-        assert result.counters["backward_calls"] == result.counters["steps"]
+        assert calls["hessian_diag_1d"] == self.steps(result) * len(one_d)
+        assert calls["backward"] == self.steps(result)
 
-    def test_sgdm_never_extracts_curvature(self, tmp_path):
-        cfg = small_cfg(tmp_path, "c2", optimizer="sgdm")
-        result = tr.train(cfg)
-        assert result.counters["hdiag_calls"] == 0
-        assert result.counters["backward_calls"] == result.counters["steps"]
+    def test_sgdm_never_extracts_curvature(self, tmp_path, monkeypatch):
+        calls = self.spy_calls(monkeypatch)
+        result = tr.train(small_cfg(tmp_path, "c2", optimizer="sgdm"))
+        assert calls["hessian_diag_1d"] == 0
+        assert calls["backward"] == self.steps(result)
 
     def test_hessian_stats_only_under_sgdph(self, tmp_path):
         rp = tr.train(small_cfg(tmp_path, "h1", optimizer="sgdph"))
@@ -327,8 +342,8 @@ class TestCompare:
         cfg_a = small_cfg(tmp_path, "sh-a", optimizer="sgdph", out_metrics=shared)
         cfg_b = small_cfg(tmp_path, "sh-b", optimizer="sgdm", out_metrics=shared)
         result = tr.compare(cfg_a, cfg_b, str(tmp_path / "s.csv"))
-        assert result.result_a.metrics_path == shared + ".a"
-        assert result.result_b.metrics_path == shared + ".b"
+        assert result.result_a.cfg.out_metrics == shared + ".a"
+        assert result.result_b.cfg.out_metrics == shared + ".b"
 
     def test_shared_checkpoint_suffixed_on_its_own(self, tmp_path):
         # distinct metrics paths, one checkpoint path: B must not overwrite A
@@ -336,11 +351,11 @@ class TestCompare:
         cfg_a = small_cfg(tmp_path, "ck-a", optimizer="sgdph", out_checkpoint=shared)
         cfg_b = small_cfg(tmp_path, "ck-b", optimizer="sgdm", out_checkpoint=shared)
         result = tr.compare(cfg_a, cfg_b, str(tmp_path / "ck.csv"))
-        assert result.result_a.metrics_path == cfg_a.out_metrics
-        assert result.result_b.metrics_path == cfg_b.out_metrics
-        assert result.result_a.checkpoint_path == shared + ".a"
-        assert result.result_b.checkpoint_path == shared + ".b"
+        assert result.result_a.cfg.out_metrics == cfg_a.out_metrics
+        assert result.result_b.cfg.out_metrics == cfg_b.out_metrics
+        assert result.result_a.cfg.out_checkpoint == shared + ".a"
+        assert result.result_b.cfg.out_checkpoint == shared + ".b"
         for res in (result.result_a, result.result_b):
-            saved = tr.load_checkpoint(res.checkpoint_path)
+            saved = tr.load_checkpoint(res.cfg.out_checkpoint)
             for p in res.model.parameters():
                 np.testing.assert_array_equal(saved[p.name], p.value)
