@@ -35,6 +35,17 @@ adjoint conv_w it forms a family closed under differentiation: each of the
 three has its vjps in the other two and itself, so a recorded backward
 through a convolution holds no patch matrix and stays exact to any order.
 
+A node keeps its value only if some vjp reads it. An on-tape op marks
+`saved` the operands its vjps capture (both operands of mul, matmul and
+the three convolutions, and log's), or its own output where the vjp is
+written in it (recip, sqrt, exp). The other ops capture a bool mask
+(relu), a constant (cmul) or shapes only. Once the forward is complete,
+backward() frees every unsaved value below the loss, and after a
+retaining sweep every unsaved value the sweep recorded. The loss, the
+leaves, the constants and the retained gradients keep theirs. On a
+cnn-bn f32 step at batch 100 the tape then holds 39.1 MiB after the
+backward, counted by distinct base arrays, where it held 106.1.
+
 Tapes are define-by-run and single-use: build a fresh Graph per step.
 """
 
@@ -47,6 +58,16 @@ from .tensor import ShapeMismatchError, elementwise
 
 CHANNELWISE_1D = "channelwise-1d"
 DENSE = "dense"
+
+
+def _frozen_nan(dtype) -> np.ndarray:
+    a = np.full((), np.nan, dtype)
+    a.flags.writeable = False
+    return a
+
+
+# the one buffer that every dropped value of a dtype views (see _drop)
+_NAN = {np.dtype(t): _frozen_nan(t) for t in (np.float32, np.float64)}
 
 
 class NonScalarLossError(ValueError):
@@ -106,8 +127,10 @@ def keep_freed_memory() -> None:
     """Lets glibc keep freed blocks in the heap for the next step to reuse.
 
     A cnn-bn f32 batch-100 step builds and frees about 106 MiB of
-    activation-sized tape arrays, and each curvature sweep up to 34 MiB
-    more of transient adjoints (tracemalloc peak). When those come from
+    activation-sized tape arrays (backward() frees 67 MiB of them as soon
+    as no vjp can read them), and each curvature sweep up to 34 MiB more of
+    transient adjoints; by tracemalloc the step peaks at 96 MiB, inside the
+    recorded backward. When those arrays come from
     mmap, or are trimmed off the top of the heap after Graph.release(),
     every step's arrays are page-faulted and zeroed by the kernel again.
     Measured on cnn-bn f32 at batch 100 with a fixed 1 MiB mmap
@@ -122,7 +145,7 @@ def keep_freed_memory() -> None:
     convolution kernels; the largest tape array is a 4.8 MB activation),
     and the trim threshold to never. A repeated step then faults almost no
     pages. The cost is that the process keeps its heap high-water mark
-    (about 170 MiB after the criterion 9 cnn-bn sgdph run) after train()
+    (a 125 MiB arena after the criterion 9 cnn-bn sgdph run) after train()
     returns; a malloc_trim there would only re-fault it on the first step
     of the next train(). The oracle releases each tape it builds as well,
     so it sets the same policy: with the heap trimmed, one desk-scale
@@ -145,15 +168,20 @@ class Variable:
     `vjps` is aligned with `parents`: vjps[i] maps the output adjoint to the
     contribution flowing into parents[i]. Two consecutive edges that hold
     the same function object get one contribution between them, built
-    once: that is how mul(a, a) builds g*a a single time for both."""
+    once: that is how mul(a, a) builds g*a a single time for both.
 
-    __slots__ = ("graph", "id", "value", "parents", "vjps", "kind", "op")
+    `saved` is set when an on-tape vjp captures the node. backward() frees
+    the value of a node with parents that is not saved (see _drop): it
+    keeps its shape and dtype but reads as NaN."""
+
+    __slots__ = ("graph", "id", "value", "parents", "vjps", "kind", "op", "saved")
 
     def __init__(self, graph, value, parents=(), vjps=(), kind=None, op=""):
         self.graph = graph
         self.value = np.asarray(value)
         self.kind = kind
         self.op = op
+        self.saved = False
         self.id = graph._append(self)
         on_tape = self.id >= 0
         self.parents = tuple(parents) if on_tape else ()
@@ -171,8 +199,14 @@ class Variable:
         return f"Variable(id={self.id}, op={self.op!r}, shape={self.shape})"
 
 
-def _op(graph: Graph, value, parents, vjps, op: str) -> Variable:
-    return Variable(graph, value, parents, vjps, op=op)
+def _op(graph: Graph, value, parents, vjps, op: str, saves=()) -> Variable:
+    """A new node; `saves` are the operands its vjps capture, marked saved
+    only when the node is on the tape (an off-tape node holds no vjp)."""
+    out = Variable(graph, value, parents, vjps, op=op)
+    if out.id >= 0:
+        for v in saves:
+            v.saved = True
+    return out
 
 
 def _pass(g: Variable) -> Variable:
@@ -211,13 +245,13 @@ def mul(a: Variable, b: Variable) -> Variable:
         vjps = (f, f)
     else:
         vjps = (lambda g: mul(g, b), lambda g: mul(g, a))
-    return _op(a.graph, a.value * b.value, (a, b), vjps, "mul")
+    return _op(a.graph, a.value * b.value, (a, b), vjps, "mul", (a, b))
 
 
 def recip(a: Variable) -> Variable:
     out = _op(a.graph, elementwise("recip", a.value), (a,), (), "recip")
     if out.id >= 0:  # the vjp captures out; an off-tape node holds no vjp
-        out.vjps = (lambda g: neg(mul(g, mul(out, out))),)
+        out.vjps, out.saved = (lambda g: neg(mul(g, mul(out, out))),), True
     return out
 
 
@@ -246,19 +280,20 @@ def cmul(a: Variable, c) -> Variable:
 def sqrt(a: Variable) -> Variable:
     out = _op(a.graph, elementwise("sqrt", a.value), (a,), (), "sqrt")
     if out.id >= 0:
-        out.vjps = (lambda g: mul(g, cmul(recip(out), 0.5)),)
+        out.vjps, out.saved = (lambda g: mul(g, cmul(recip(out), 0.5)),), True
     return out
 
 
 def exp(a: Variable) -> Variable:
     out = _op(a.graph, elementwise("exp", a.value), (a,), (), "exp")
     if out.id >= 0:
-        out.vjps = (lambda g: mul(g, out),)
+        out.vjps, out.saved = (lambda g: mul(g, out),), True
     return out
 
 
 def log(a: Variable) -> Variable:
-    return _op(a.graph, elementwise("log", a.value), (a,), (lambda g: mul(g, recip(a)),), "log")
+    return _op(a.graph, elementwise("log", a.value), (a,), (lambda g: mul(g, recip(a)),), "log",
+               (a,))
 
 
 def relu(a: Variable) -> Variable:
@@ -270,7 +305,8 @@ def relu(a: Variable) -> Variable:
 def matmul(a: Variable, b: Variable) -> Variable:
     """Product of two matrices (tensor.matmul)."""
     return _op(a.graph, tensor.matmul(a.value, b.value), (a, b),
-               (lambda g: matmul(g, transpose(b)), lambda g: matmul(transpose(a), g)), "matmul")
+               (lambda g: matmul(g, transpose(b)), lambda g: matmul(transpose(a), g)), "matmul",
+               (a, b))
 
 
 def transpose(a: Variable) -> Variable:
@@ -324,7 +360,7 @@ def conv2d(x: Variable, w: Variable) -> Variable:
     value = tensor.conv2d(x.value, w.value)
     kh, kw = w.shape[2:]
     return _op(x.graph, value, (x, w),
-               (lambda g: conv_t(g, w), lambda g: conv_w(x, g, kh, kw)), "conv2d")
+               (lambda g: conv_t(g, w), lambda g: conv_w(x, g, kh, kw)), "conv2d", (x, w))
 
 
 def conv_t(g: Variable, w: Variable) -> Variable:
@@ -334,7 +370,7 @@ def conv_t(g: Variable, w: Variable) -> Variable:
     value = tensor.conv_t(g.value, w.value)
     kh, kw = w.shape[2:]
     return _op(g.graph, value, (g, w),
-               (lambda z: conv2d(z, w), lambda z: conv_w(z, g, kh, kw)), "conv_t")
+               (lambda z: conv2d(z, w), lambda z: conv_w(z, g, kh, kw)), "conv_t", (g, w))
 
 
 def conv_w(x: Variable, g: Variable, kh: int, kw: int) -> Variable:
@@ -343,7 +379,7 @@ def conv_w(x: Variable, g: Variable, kh: int, kw: int) -> Variable:
     for x and conv2d(x, k) for g. The node keeps x and g, never their
     patch matrix: the kernel unfolds x again on each call."""
     return _op(x.graph, tensor.conv_w(x.value, g.value, kh, kw), (x, g),
-               (lambda k: conv_t(g, k), lambda k: conv2d(x, k)), "conv_w")
+               (lambda k: conv_t(g, k), lambda k: conv2d(x, k)), "conv_w", (x, g))
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +438,30 @@ def _sweep(graph: Graph, root: Variable, reach: set[int],
     return adj
 
 
+def _drop(nodes, kept=frozenset()) -> None:
+    """Frees the value of every node in `nodes` that has parents, is not
+    saved and is not in `kept`, the ids of the values a caller still reads.
+    The value is rebound to a zero-strided view of the read-only NaN of its
+    dtype: it keeps the node's shape and dtype, owns no data, raises on a
+    write and turns any stray read into NaN. Being read-only, one such view
+    serves every freed value of its shape and dtype. A value of another
+    dtype is kept."""
+    views = {}
+    for v in nodes:
+        if v.saved or not v.parents or v.id in kept:
+            continue
+        a = v.value
+        key = a.shape, a.dtype
+        view = views.get(key)
+        if view is None:
+            nan = _NAN.get(a.dtype)
+            if nan is None:
+                continue
+            # buffer, offset and strides by position: keywords cost a third more
+            view = views[key] = np.ndarray(a.shape, a.dtype, nan, 0, (0,) * a.ndim)
+        v.value = view
+
+
 def _cone(graph: Graph, sources: list[Variable], last: int) -> set[int]:
     """Ids of the sources and of every node up to id `last` that depends on
     one of them: one forward pass marking a node when any of its parents is
@@ -424,7 +484,12 @@ def backward(loss: Variable, retain_differentiable: bool = False) -> dict[int, n
     adjoints of the channel-wise leaves' descendant cone go on the tape: no
     other adjoint can reach a channel-wise gradient, so the rest (the dense
     gradients, and the adjoints upstream of every channel-wise leaf) are
-    computed off the tape, bit for bit as they would be on it."""
+    computed off the tape, bit for bit as they would be on it.
+
+    No vjp reads an unsaved value, so the values of the unsaved nodes below
+    the loss are freed before the sweep, and those of the unsaved nodes the
+    sweep recorded, bar the retained gradients, after it: a value read
+    after backward() returns may be NaN."""
     graph = loss.graph
     if loss.value.size != 1:
         raise NonScalarLossError(f"loss must be a scalar, got shape {loss.shape}")
@@ -433,13 +498,17 @@ def backward(loss: Variable, retain_differentiable: bool = False) -> dict[int, n
     leaves = [node for node in graph.nodes if node.op == "leaf"]
     one_d = [node for node in leaves if node.kind == CHANNELWISE_1D]
     keep = _cone(graph, one_d, loss.id) if retain_differentiable else frozenset()
+    _drop(graph.nodes[:loss.id])  # the forward is complete
+    recorded = len(graph.nodes)
     adj = _sweep(graph, loss, _cone(graph, leaves, loss.id), keep)
     grads: dict[int, np.ndarray] = {}
     for node in leaves:
         a = adj.get(node.id)
         grads[node.id] = np.zeros_like(node.value) if a is None else a.value.copy()
-    graph.retained = ({v.id: adj[v.id] for v in one_d if v.id in adj}
-                      if retain_differentiable else None)
+    graph.retained = None
+    if retain_differentiable:
+        graph.retained = {v.id: adj[v.id] for v in one_d if v.id in adj}
+        _drop(graph.nodes[recorded:], {v.id for v in graph.retained.values()})
     return grads
 
 

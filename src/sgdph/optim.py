@@ -71,7 +71,6 @@ class OptState:
 
     def __init__(self, params):
         self.slots: dict[str, ParamState] = {}
-        self.steps = 0
         for p in params:
             m_h = np.zeros_like(p.value) if p.kind == ad.CHANNELWISE_1D else None
             self.slots[p.name] = ParamState(m_g=np.zeros_like(p.value), m_h=m_h)
@@ -142,7 +141,6 @@ def _step(params, grads: dict, hdiags: dict | None, cfg: SgdPhConfig,
     for p, ps, m_g, m_h, value in staged:
         ps.m_g, ps.m_h = m_g, m_h
         p.value = value
-    state.steps += 1
 
 
 def step(params, grads: dict, hdiags: dict, cfg: SgdPhConfig, state: OptState) -> None:

@@ -8,9 +8,13 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from sgdph import autodiff as ad
+from sgdph import train
 from sgdph.config import ConfigError, RunConfig, load_config, parse_kv_lines
+from sgdph.data import write_digits_fixture
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -150,6 +154,42 @@ class TestTracedNames:
                 target = getattr(target, part, None)
                 assert target is not None, f"sgdph.{module_name}.{attr}"
             assert callable(target), f"sgdph.{module_name}.{attr}"
+
+    def test_a_traced_step_counts_only_the_values_the_tape_keeps(self, monkeypatch, tmp_path):
+        # the tracer reads every tape value's flags after each backward, so a
+        # freed value must stay an ndarray, one that owns no data
+        paths = write_digits_fixture(str(tmp_path / "idx"), n_train=10, n_test=10, seed=0)
+        cfg = RunConfig(model="cnn-bn", optimizer="sgdph", epochs=1, batch_size=10,
+                        dataset_kind="idx", dataset_subset_n=10,
+                        dataset_train_images=paths["train_images"],
+                        dataset_train_labels=paths["train_labels"],
+                        dataset_test_images=paths["test_images"],
+                        dataset_test_labels=paths["test_labels"],
+                        out_metrics=str(tmp_path / "m.jsonl"),
+                        out_checkpoint=str(tmp_path / "m.ckpt"))
+        tapes = []
+        backward = ad.backward
+
+        def spy(loss, *args, **kwargs):
+            grads = backward(loss, *args, **kwargs)
+            tapes.append([v.value for v in loss.graph.nodes])
+            return grads
+
+        monkeypatch.setattr(ad, "backward", spy)
+        tracer = load_bench_module(monkeypatch, "tracing").Tracer()
+        tracer.install()
+        try:
+            sid = tracer.begin("train.train")  # as the bench opens it
+            train.train(cfg)
+            tracer.end(sid)
+        finally:
+            tracer.uninstall()
+        assert len(tracer.tape) == len(tapes) == 1
+        _, step, before, added, by_op = tracer.tape[0]
+        assert (step, before > 0, added > 0) == (1, True, True)
+        freed = [a for a in tapes[0] if np.isnan(a).all()]
+        kept = {id(a): a.nbytes for a in tapes[0] if a.flags.owndata and not np.isnan(a).all()}
+        assert freed and 0 < sum(by_op.values()) == sum(kept.values())
 
 
 class TestValidation:
