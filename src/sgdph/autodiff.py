@@ -40,11 +40,16 @@ A node keeps its value only if some vjp reads it. An on-tape op marks
 the three convolutions, and log's), or its own output where the vjp is
 written in it (recip, sqrt, exp). The other ops capture a bool mask
 (relu), a constant (cmul) or shapes only. Once the forward is complete,
-backward() frees every unsaved value below the loss, and after a
-retaining sweep every unsaved value the sweep recorded. The loss, the
-leaves, the constants and the retained gradients keep theirs. On a
+backward() frees every unsaved value below the loss. A retaining sweep
+frees each unsaved adjoint it records, and both operands of each
+recorded add, once the node that used them last has fired; backward()
+then frees the rest of the unsaved values the sweep recorded. The loss,
+the leaves, the constants and the retained gradients keep theirs. On a
 cnn-bn f32 step at batch 100 the tape then holds 39.1 MiB after the
-backward, counted by distinct base arrays, where it held 106.1.
+backward, counted by distinct base arrays, where it held 106.1. By
+tracemalloc the recorded backward peaks at 52.6 MiB (96.1 when its
+values lived to the end of the sweep) and the step at 69.4 MiB, inside
+the bn1 curvature sweeps.
 
 Tapes are define-by-run and single-use: build a fresh Graph per step.
 """
@@ -95,6 +100,8 @@ class Graph:
         self.nodes: list[Variable] = []
         self.recording = True
         self.retained: dict[int, "Variable"] | None = None
+        # (shape, dtype) -> the NaN view that the freed values of that shape share (_drop)
+        self.nan_views: dict[tuple, np.ndarray] = {}
 
     def _append(self, v: "Variable") -> int:
         if not self.recording:
@@ -119,6 +126,7 @@ class Graph:
             v.vjps = ()
             v.parents = ()
         self.nodes.clear()
+        self.nan_views.clear()
         self.retained = None
         self.recording = False
 
@@ -128,9 +136,9 @@ def keep_freed_memory() -> None:
 
     A cnn-bn f32 batch-100 step builds and frees about 106 MiB of
     activation-sized tape arrays (backward() frees 67 MiB of them as soon
-    as no vjp can read them), and each curvature sweep up to 34 MiB more of
-    transient adjoints; by tracemalloc the step peaks at 96 MiB, inside the
-    recorded backward. When those arrays come from
+    as no vjp can read them), and each curvature sweep up to 30 MiB more of
+    transient adjoints; by tracemalloc the step peaks at 69 MiB, inside the
+    bn1 sweeps. When those arrays come from
     mmap, or are trimmed off the top of the heap after Graph.release(),
     every step's arrays are page-faulted and zeroed by the kernel again.
     Measured on cnn-bn f32 at batch 100 with a fixed 1 MiB mmap
@@ -140,12 +148,14 @@ def keep_freed_memory() -> None:
     policy still trims the heap after each release, so both thresholds
     are set (setting either one also turns the dynamic policy off): the
     mmap threshold to 32 MiB, the 64-bit maximum that mallopt(3)
-    documents and above the largest f32 array of a step (the 22.6 MB
-    patch matrix of conv2's 8-channel input, a transient inside the
-    convolution kernels; the largest tape array is a 4.8 MB activation),
-    and the trim threshold to never. A repeated step then faults almost no
-    pages. The cost is that the process keeps its heap high-water mark
-    (a 125 MiB arena after the criterion 9 cnn-bn sgdph run) after train()
+    documents and above every array of a step in f32 or f64: the largest
+    tape array is a 4.8 MiB f32 activation, and the convolution kernels
+    unfold at most 2 MiB of patches at a time, where a whole batch's patch
+    matrix of conv2's input (22.6 MB in f32, 45 MB in f64) went past the
+    threshold in f64. The trim threshold is set to never. A repeated step
+    then faults almost no pages, in f32 and f64 alike. The cost is that the
+    process keeps its heap high-water mark
+    (a 99 MiB arena after the criterion 9 cnn-bn sgdph run) after train()
     returns; a malloc_trim there would only re-fault it on the first step
     of the next train(). The oracle releases each tape it builds as well,
     so it sets the same policy: with the heap trimmed, one desk-scale
@@ -386,6 +396,13 @@ def conv_w(x: Variable, g: Variable, kh: int, kw: int) -> Variable:
 # backward machinery
 
 
+def _iadd(prev: Variable, c: Variable) -> Variable:
+    """prev + c written into prev's own array: the sums add() makes, with
+    no new array."""
+    np.add(prev.value, c.value, out=prev.value)
+    return prev
+
+
 def _sweep(graph: Graph, root: Variable, reach: set[int],
            keep: set[int] = frozenset()) -> dict[int, Variable]:
     """Reverse accumulation of d(sum root)/d(node) from a ones seed at root.
@@ -407,15 +424,29 @@ def _sweep(graph: Graph, root: Variable, reach: set[int],
     empty the sweep records nothing.
 
     A node's adjoint is complete when the sweep reaches it, since every
-    consumer has a higher id, so it is dropped there: once its edges have
-    fired, nothing else refers to an off-tape adjoint and it is freed while
-    the sweep runs. The returned dict holds the adjoints of the parentless
+    consumer has a higher id, so it is dropped there. Nothing else refers
+    to an off-tape adjoint or contribution, so each is freed at its last
+    use. An off-tape parent's third and later contributions are summed in
+    place into the array the off-tape add of its second one built (parents
+    tracked by id); a first contribution may be a view of another array or
+    the adjoint itself, so it is never written into. A recorded value
+    lives on the tape, so once all of a node's edges have fired, _drop
+    frees its adjoint g and the two operands of every recorded add it
+    built: not before, since both edges of mul(a, a) read one product. A
+    saved value is kept, and so is an adjoint that a vjp handed on as its
+    own contribution (add, sub, cadd and an identity broadcast_to do), as
+    it may sit in a second parent's slot. On a cnn-bn f32 step at batch
+    100 that takes the recorded backward's tracemalloc peak from 96.1 MiB
+    to 52.6. A sweep that records nothing keeps none of this
+    bookkeeping. The returned dict holds the adjoints of the parentless
     nodes (leaves and constants) only. The graph's recording flag is left
     as the sweep found it."""
     recording = graph.recording
     graph.recording = root.id in keep
     try:
         adj = {root.id: graph.constant(np.ones_like(root.value))}
+        summed = set()  # off-tape parents whose adjoint an add of this sweep built
+        handed = set()  # recorded adjoints a vjp returned as they were
         for nid in range(root.id, -1, -1):
             g = adj.get(nid)
             if g is None:
@@ -424,29 +455,44 @@ def _sweep(graph: Graph, root: Variable, reach: set[int],
             if not node.parents:
                 continue
             del adj[nid]
+            spent = [g] if nid in keep else None
             last = None
             for p, f in zip(node.parents, node.vjps):
-                if p.id not in reach:
+                pid = p.id
+                if pid not in reach:
                     continue
-                graph.recording = p.id in keep
+                on_tape = graph.recording = pid in keep
                 if f is not last:  # mul(a, a): both edges share one product
                     c, last = f(g), f
-                prev = adj.get(p.id)
-                adj[p.id] = c if prev is None else add(prev, c)
+                    if c is g and spent:
+                        handed.add(g.id)
+                prev = adj.get(pid)
+                if prev is None:
+                    adj[pid] = c
+                elif on_tape:
+                    adj[pid] = add(prev, c)
+                    spent += (prev, c)
+                elif pid in summed:
+                    adj[pid] = _iadd(prev, c)
+                else:
+                    adj[pid] = add(prev, c)
+                    summed.add(pid)
+            if spent:
+                _drop(graph, spent, handed)
     finally:
         graph.recording = recording
     return adj
 
 
-def _drop(nodes, kept=frozenset()) -> None:
+def _drop(graph: Graph, nodes, kept=frozenset()) -> None:
     """Frees the value of every node in `nodes` that has parents, is not
     saved and is not in `kept`, the ids of the values a caller still reads.
     The value is rebound to a zero-strided view of the read-only NaN of its
     dtype: it keeps the node's shape and dtype, owns no data, raises on a
     write and turns any stray read into NaN. Being read-only, one such view
-    serves every freed value of its shape and dtype. A value of another
-    dtype is kept."""
-    views = {}
+    serves every freed value of its shape and dtype, and the graph keeps
+    it for the next call. A value of another dtype is kept."""
+    views = graph.nan_views
     for v in nodes:
         if v.saved or not v.parents or v.id in kept:
             continue
@@ -487,9 +533,11 @@ def backward(loss: Variable, retain_differentiable: bool = False) -> dict[int, n
     computed off the tape, bit for bit as they would be on it.
 
     No vjp reads an unsaved value, so the values of the unsaved nodes below
-    the loss are freed before the sweep, and those of the unsaved nodes the
-    sweep recorded, bar the retained gradients, after it: a value read
-    after backward() returns may be NaN."""
+    the loss are freed before the sweep. The sweep frees the recorded
+    adjoints and the operands of the recorded adds at their last use (see
+    _sweep), and the values of the other unsaved nodes it recorded, such
+    as the intermediates inside a vjp, bar the retained gradients, are
+    freed after it: a value read after backward() returns may be NaN."""
     graph = loss.graph
     if loss.value.size != 1:
         raise NonScalarLossError(f"loss must be a scalar, got shape {loss.shape}")
@@ -498,7 +546,7 @@ def backward(loss: Variable, retain_differentiable: bool = False) -> dict[int, n
     leaves = [node for node in graph.nodes if node.op == "leaf"]
     one_d = [node for node in leaves if node.kind == CHANNELWISE_1D]
     keep = _cone(graph, one_d, loss.id) if retain_differentiable else frozenset()
-    _drop(graph.nodes[:loss.id])  # the forward is complete
+    _drop(graph, graph.nodes[:loss.id])  # the forward is complete
     recorded = len(graph.nodes)
     adj = _sweep(graph, loss, _cone(graph, leaves, loss.id), keep)
     grads: dict[int, np.ndarray] = {}
@@ -508,7 +556,7 @@ def backward(loss: Variable, retain_differentiable: bool = False) -> dict[int, n
     graph.retained = None
     if retain_differentiable:
         graph.retained = {v.id: adj[v.id] for v in one_d if v.id in adj}
-        _drop(graph.nodes[recorded:], {v.id for v in graph.retained.values()})
+        _drop(graph, graph.nodes[recorded:], {v.id for v in graph.retained.values()})
     return grads
 
 

@@ -1,10 +1,14 @@
 """Exit codes and output contracts of the four subcommands."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sgdph
 from sgdph import oracle
 from sgdph.cli import cli
 from sgdph.data import write_idx
@@ -200,6 +204,22 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(tmp_path) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("args", [["--model", "mlp-bn", "--seed", "7"],
+                                      ["--param", "bn9.gamma"]])
+    def test_module_run_writes_the_report_and_exits_with_cli_code(self, tmp_path, args):
+        # python -m sgdph.cli is the same program as cli(): same report, same code
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sgdph.__file__)))
+        out = tmp_path / "module.json"
+        run = subprocess.run([sys.executable, "-m", "sgdph.cli", "verify", *args,
+                              "--out", str(out)], env=env, capture_output=True, text=True,
+                             timeout=120)
+        ref = tmp_path / "cli.json"
+        assert run.returncode == cli(["verify", *args, "--out", str(ref)])
+        if ref.exists():
+            assert run.returncode == 0 and out.read_bytes() == ref.read_bytes()
+        else:
+            assert run.returncode == 1 and not out.exists() and "bn9.gamma" in run.stderr
 
     def test_unknown_model_fails(self, capsys):
         assert cli(["verify", "--model", "mlp-plain"]) == 1

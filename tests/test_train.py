@@ -141,17 +141,13 @@ class TestTrainLoop:
         assert [(r["epoch"], r["step"], r["split"]) for r in records] == [(0, 0, "train")]
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
-                    reason="the heap policy is set through glibc's mallopt")
-def test_repeat_train_reuses_freed_heap(tmp_path):
-    """A second one-step cnn-bn run reuses the heap the first one grew.
-    Under an mmap threshold or heap trimming, the tape's arrays are
-    returned to the kernel on release and faulted in again: about 40k
-    minor faults per call at this size."""
+def repeat_train_faults(tmp_path, optimizer: str, dtype: str) -> int:
+    """Minor page faults of the second of two identical one-step cnn-bn
+    runs at batch 100 in one process."""
     import resource
 
     paths = write_digits_fixture(str(tmp_path / "idx"), n_train=100, n_test=100, seed=0)
-    cfg = RunConfig(model="cnn-bn", optimizer="sgdm", dtype="f32", epochs=1,
+    cfg = RunConfig(model="cnn-bn", optimizer=optimizer, dtype=dtype, epochs=1,
                     batch_size=100, seed=0, dataset_kind="idx", dataset_subset_n=100,
                     dataset_train_images=paths["train_images"],
                     dataset_train_labels=paths["train_labels"],
@@ -162,8 +158,29 @@ def test_repeat_train_reuses_freed_heap(tmp_path):
     assert [r["step"] for r in tr.train(cfg).records if r["split"] == "train"] == [0]
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     tr.train(cfg)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap policy is set through glibc's mallopt")
+def test_repeat_train_reuses_freed_heap(tmp_path):
+    """A second one-step cnn-bn run reuses the heap the first one grew.
+    Under an mmap threshold or heap trimming, the tape's arrays are
+    returned to the kernel on release and faulted in again: about 40k
+    minor faults per call at this size."""
+    faults = repeat_train_faults(tmp_path, "sgdm", "f32")
     assert faults < 1000, f"{faults} minor faults on a repeated one-step run"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap policy is set through glibc's mallopt")
+def test_repeat_f64_sgdph_train_reuses_freed_heap(tmp_path):
+    """The same in f64 with the curvature sweeps. The convolutions unfold
+    a few samples at a time, so no transient reaches the 32 MiB mmap
+    threshold; a whole-batch patch matrix (45 MB for conv2's input) was
+    mmapped and returned on every call, about 1.8k-2.7k faults a run."""
+    faults = repeat_train_faults(tmp_path, "sgdph", "f64")
+    assert faults < 100, f"{faults} minor faults on a repeated one-step f64 run"
 
 
 class TestCounters:
