@@ -56,6 +56,8 @@ Tapes are define-by-run and single-use: build a fresh Graph per step.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import tensor
@@ -131,6 +133,7 @@ class Graph:
         self.recording = False
 
 
+@functools.cache
 def keep_freed_memory() -> None:
     """Lets glibc keep freed blocks in the heap for the next step to reuse.
 
@@ -158,9 +161,10 @@ def keep_freed_memory() -> None:
     (a 99 MiB arena after the criterion 9 cnn-bn sgdph run) after train()
     returns; a malloc_trim there would only re-fault it on the first step
     of the next train(). The oracle releases each tape it builds as well,
-    so it sets the same policy: with the heap trimmed, one desk-scale
-    tape_hdiag call on cnn-bn re-faulted about 400 pages.
-    No-op off glibc. train.train and oracle.tape_gradients call it."""
+    and with the heap trimmed, one desk-scale tape_hdiag call on cnn-bn
+    re-faulted about 400 pages. No-op off glibc. nn.taped_batch calls it
+    before every model tape; the policy is process-wide, so only the
+    first call acts."""
     import ctypes
 
     try:

@@ -12,6 +12,7 @@ receive second-order updates; weight matrices stay "dense".
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,6 +273,14 @@ def sum_of_squares_np(y: np.ndarray) -> float:
     return float(0.5 * np.sum(y * y))
 
 
+def _loss_v(kind: str, y: ad.Variable, labels) -> ad.Variable:
+    if kind == "sos":
+        return sum_of_squares(y)
+    if kind == "ce":
+        return softmax_cross_entropy(y, labels)
+    raise ValueError(f"unknown loss kind {kind!r}")
+
+
 # ---------------------------------------------------------------------------
 # model container and zoo
 
@@ -323,6 +332,29 @@ class Model:
         for layer in self.layers:
             x = layer.forward_np(x, values, training)
         return x
+
+
+@contextmanager
+def taped_batch(model: Model, x: np.ndarray, labels, loss: str, curvature=()):
+    """One batch on a fresh tape, the only place a model tape is built.
+    Yields (loss value, logits array, gradients by parameter name, and the
+    curvature H_pp @ 1 of each parameter named in `curvature`, by name),
+    for x cast to the parameters' dtype. The tape is released when the
+    block exits, also on an exception, so none waits for the gc."""
+    ad.keep_freed_memory()
+    graph = ad.Graph()
+    try:
+        env = model.bind(graph)
+        xv = graph.constant(np.asarray(x, dtype=model.parameters()[0].value.dtype))
+        y = model.forward_v(xv, env)
+        loss_var = _loss_v(loss, y, labels)
+        logits = y.value  # before the backward frees it
+        grads_by_id = ad.backward(loss_var, retain_differentiable=bool(curvature))
+        grads = {name: grads_by_id[v.id] for name, v in env.items()}
+        hdiags = {name: ad.hessian_diag_1d(loss_var, env[name]) for name in curvature}
+        yield float(loss_var.value), logits, grads, hdiags
+    finally:
+        graph.release()
 
 
 def build_model(name: str, rng: Rng, *, in_shape, n_classes: int,

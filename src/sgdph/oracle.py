@@ -55,10 +55,10 @@ def _eval(lossfn, values: dict[str, np.ndarray], name: str, shifts: dict[int, fl
     return out
 
 
-def fd_gradient(lossfn, params: dict[str, np.ndarray], h: float = FD_STEP) -> dict[str, np.ndarray]:
-    """Central differences (L(w + h e_i) - L(w - h e_i)) / 2h per coordinate
-    of every parameter. lossfn maps a name->array dict to a scalar."""
-    _check_step(h)
+def fd_gradient(lossfn, params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Central differences (L(w + h e_i) - L(w - h e_i)) / 2h at h = FD_STEP
+    per coordinate of every parameter. lossfn maps a name->array dict to a scalar."""
+    h = FD_STEP
     base = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
     out = {}
     for name, w in base.items():
@@ -143,14 +143,6 @@ def _loss_np(kind: str, y: np.ndarray, labels) -> float:
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def _loss_v(kind: str, y: ad.Variable, labels) -> ad.Variable:
-    if kind == "sos":
-        return nn.sum_of_squares(y)
-    if kind == "ce":
-        return nn.softmax_cross_entropy(y, labels)
-    raise ValueError(f"unknown loss kind {kind!r}")
-
-
 def model_lossfn(model: nn.Model, x: np.ndarray, loss: str = "sos", labels=None):
     """Array-path loss closure over parameter values, for FD oracles. Each
     ReLU is held at its mask z > 0 at the model's current values, so an FD
@@ -196,42 +188,27 @@ def _same_bits(v, shape: tuple, data: bytes) -> bool:
             and v.tobytes() == data)
 
 
-def tape_gradients(model: nn.Model, x: np.ndarray, loss: str = "sos", labels=None,
-                   retain: bool = False):
-    """One tape forward+backward; returns (grads by name, and with retain
-    also the loss Variable and parameter-leaf env for curvature calls).
-    Without retain the tape is released before returning; with it, the
-    caller releases loss.graph once done with it."""
-    ad.keep_freed_memory()
-    graph = ad.Graph()
-    with preserve_bn_stats(model):
-        env = model.bind(graph)
-        xv = graph.constant(np.asarray(x, dtype=model.parameters()[0].value.dtype))
-        y = model.forward_v(xv, env)
-        loss_var = _loss_v(loss, y, labels)
-        grads_by_id = ad.backward(loss_var, retain_differentiable=retain)
-    grads = {name: grads_by_id[var.id] for name, var in env.items()}
-    if retain:
-        return grads, loss_var, env
-    graph.release()
-    return grads, None, None
+def tape_gradients(model: nn.Model, x: np.ndarray, loss: str = "sos",
+                   labels=None) -> dict[str, np.ndarray]:
+    """Tape gradients by parameter name, from one nn.taped_batch forward and
+    backward that leaves the running statistics untouched."""
+    with preserve_bn_stats(model), nn.taped_batch(model, x, labels, loss) as (_, _, grads, _):
+        return grads
 
 
 def tape_hdiag(model: nn.Model, x: np.ndarray, name: str, loss: str = "sos",
                labels=None) -> np.ndarray:
     """Channelwise curvature of one 1-D parameter via the double backward."""
-    _, loss_var, env = tape_gradients(model, x, loss, labels, retain=True)
-    try:
-        return ad.hessian_diag_1d(loss_var, env[name])
-    finally:
-        loss_var.graph.release()
+    with preserve_bn_stats(model), nn.taped_batch(model, x, labels, loss, (name,)) as (
+            _, _, _, hdiags):
+        return hdiags[name]
 
 
 def gradcheck(model: nn.Model, x: np.ndarray, loss: str = "sos",
               labels=None) -> dict[str, float]:
     """Entrywise relative error between tape gradients and central
     differences (step FD_STEP), per parameter, in f64 training mode."""
-    grads, _, _ = tape_gradients(model, x, loss, labels)
+    grads = tape_gradients(model, x, loss, labels)
     fd = fd_gradient(model_lossfn(model, x, loss, labels), model.values())
     return {name: max_rel_err(grads[name], fd[name]) for name in fd}
 

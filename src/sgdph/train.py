@@ -13,10 +13,9 @@ momentum not finite and positive) aborts it with a TrainAbortError that
 names the epoch, step and parameter; the step is not applied and the
 metrics file holds the records of the completed steps only.
 
-train() sets glibc's malloc to keep freed blocks in the heap (no mmap
-below 32 MiB, no trimming), so each step reuses the pages of the last
-one's tape instead of faulting in fresh ones; the process keeps its heap
-high-water mark afterwards.
+Each step is one nn.taped_batch block, which releases the batch's tape
+after the optimizer step or the abort, and keeps freed heap blocks for
+the next step's tape (ad.keep_freed_memory).
 """
 
 from __future__ import annotations
@@ -114,13 +113,12 @@ def _hessian_stats(state: optim.OptState, one_d_names: list[str]) -> list[dict]:
 
 
 def train(cfg: RunConfig) -> TrainResult:
-    ad.keep_freed_memory()
     dataset = make_dataset(cfg)
     model = build_from_config(cfg, dataset)
     dtype = DTYPES[cfg.dtype]
     params = model.parameters()
     one_d = [p.name for p in params if p.kind == ad.CHANNELWISE_1D]
-    use_hessian = cfg.optimizer == "sgdph" and bool(one_d)
+    curvature = one_d if cfg.optimizer == "sgdph" else []
     state = optim.OptState(params)
     records: list[dict] = []
 
@@ -142,7 +140,7 @@ def train(cfg: RunConfig) -> TrainResult:
             metrics_file.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
         def hstats() -> list[dict] | None:
-            return _hessian_stats(state, one_d) if use_hessian else None
+            return _hessian_stats(state, one_d) if curvature else None
 
         for epoch in range(cfg.epochs):
             tau_epoch = optim.decayed_tau(cfg.tau, epoch, cfg.decay_every, cfg.lr_decay_factor)
@@ -154,36 +152,24 @@ def train(cfg: RunConfig) -> TrainResult:
                 idx = perm[lo : lo + cfg.batch_size]
                 xb, yb = x_train[idx], y_train[idx]
 
-                graph = ad.Graph()
-                env = model.bind(graph)
-                logits = model.forward_v(graph.constant(xb), env)
-                loss_var = nn.softmax_cross_entropy(logits, yb)
-                loss = float(loss_var.value)
-                acc = float(np.mean(np.argmax(logits.value, axis=1) == yb))
-
-                if not np.isfinite(loss):
-                    emit(_record(epoch, step, "train", None, None, tau_epoch, None, hstats()))
-                    raise TrainAbortError(
-                        f"non-finite loss at epoch {epoch} step {step}; aborting"
-                    )
-
-                grads_by_id = ad.backward(loss_var, retain_differentiable=use_hessian)
-                grads = {name: grads_by_id[var.id] for name, var in env.items()}
-
-                try:
-                    if cfg.optimizer == "sgdph":
-                        hdiags = {}
-                        for pname in one_d:
-                            hdiags[pname] = ad.hessian_diag_1d(loss_var, env[pname])
-                        optim.step(params, grads, hdiags, step_cfg, state)
-                    else:
-                        optim.sgdm_step(params, grads, step_cfg, state)
-                except optim.InvariantViolation as e:
-                    raise TrainAbortError(f"epoch {epoch} step {step}: {e}") from e
-                # a step's tape is large (activations plus the differentiable
-                # backward) and cyclic; free it now, not at the next gc pass
-                graph.release()
-                del env, logits, loss_var, grads_by_id, grads
+                # the tape is released as the block exits, after the step
+                with nn.taped_batch(model, xb, yb, "ce", curvature) as (
+                        loss, logits, grads, hdiags):
+                    acc = float(np.mean(np.argmax(logits, axis=1) == yb))
+                    if not np.isfinite(loss):
+                        emit(_record(epoch, step, "train", None, None, tau_epoch, None, hstats()))
+                        raise TrainAbortError(
+                            f"non-finite loss at epoch {epoch} step {step}; aborting"
+                        )
+                    try:
+                        if cfg.optimizer == "sgdph":
+                            optim.step(params, grads, hdiags, step_cfg, state)
+                        else:
+                            optim.sgdm_step(params, grads, step_cfg, state)
+                    except optim.InvariantViolation as e:
+                        raise TrainAbortError(f"epoch {epoch} step {step}: {e}") from e
+                # not held while the next step builds its tape
+                del logits, grads, hdiags
 
                 wall_ms = (time.perf_counter() - t0) * 1e3 if cfg.log_wall_time else None
                 emit(_record(epoch, step, "train", loss, acc, tau_epoch, wall_ms, hstats()))

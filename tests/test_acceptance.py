@@ -151,7 +151,7 @@ def test_criterion_05_degeneration_to_sgdm_over_100_steps():
             lo = (step * 20) % 160
             xb = ds.x_train[lo : lo + 20]
             yb = ds.y_train[lo : lo + 20]
-            grads, _, _ = oracle.tape_gradients(model, xb, "ce", yb)
+            grads = oracle.tape_gradients(model, xb, "ce", yb)
             if use_compound:
                 optim.step(model.parameters(), grads, {}, cfg, state)
             else:

@@ -349,13 +349,12 @@ class TestConvolutionTape:
     def test_cnn_wn_curvature_through_the_kernel_adjoint(self):
         # a weight-norm length reaches the loss only through the kernel, so
         # its sweep differentiates the recorded kernel adjoint conv_w
-        model = nn.build_model("cnn-wn", Rng(0), in_shape=(1, 6, 6), n_classes=3)
-        x = Rng(1).normal((4, 1, 6, 6))
-        labels = np.array([0, 1, 2, 0])
-        _, loss, env = oracle.tape_gradients(model, x, "ce", labels, retain=True)
+        model, graph, env, loss, _ = small_cnn_loss("cnn-wn", np.float64)
+        ad.backward(loss, retain_differentiable=True)
         fired = []
-        record_fired(loss.graph, fired)
-        lossfn = oracle.model_lossfn(model, x, "ce", labels)
+        record_fired(graph, fired)
+        x = Rng(1).normal((4, 1, 6, 6))
+        lossfn = oracle.model_lossfn(model, x, "ce", np.array([0, 1, 2, 0]))
         for name in ("conv1.gamma", "conv2.gamma"):
             h = ad.hessian_diag_1d(loss, env[name])
             rows = oracle.fd_hessian_block_1d(lossfn, model.values(), name).sum(axis=1)

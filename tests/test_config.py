@@ -158,15 +158,6 @@ class TestTracedNames:
     def test_a_traced_step_counts_only_the_values_the_tape_keeps(self, monkeypatch, tmp_path):
         # the tracer reads every tape value's flags after each backward, so a
         # freed value must stay an ndarray, one that owns no data
-        paths = write_digits_fixture(str(tmp_path / "idx"), n_train=10, n_test=10, seed=0)
-        cfg = RunConfig(model="cnn-bn", optimizer="sgdph", epochs=1, batch_size=10,
-                        dataset_kind="idx", dataset_subset_n=10,
-                        dataset_train_images=paths["train_images"],
-                        dataset_train_labels=paths["train_labels"],
-                        dataset_test_images=paths["test_images"],
-                        dataset_test_labels=paths["test_labels"],
-                        out_metrics=str(tmp_path / "m.jsonl"),
-                        out_checkpoint=str(tmp_path / "m.ckpt"))
         tapes = []
         backward = ad.backward
 
@@ -176,20 +167,66 @@ class TestTracedNames:
             return grads
 
         monkeypatch.setattr(ad, "backward", spy)
-        tracer = load_bench_module(monkeypatch, "tracing").Tracer()
-        tracer.install()
-        try:
-            sid = tracer.begin("train.train")  # as the bench opens it
-            train.train(cfg)
-            tracer.end(sid)
-        finally:
-            tracer.uninstall()
+        tracer = traced_train(monkeypatch, one_step_cnn_bn(tmp_path, "sgdph"))
         assert len(tracer.tape) == len(tapes) == 1
         _, step, before, added, by_op = tracer.tape[0]
         assert (step, before > 0, added > 0) == (1, True, True)
         freed = [a for a in tapes[0] if np.isnan(a).all()]
         kept = {id(a): a.nbytes for a in tapes[0] if a.flags.owndata and not np.isnan(a).all()}
         assert freed and 0 < sum(by_op.values()) == sum(kept.values())
+
+    @pytest.mark.parametrize("optimizer,update,curvature", [
+        ("sgdph", "optim.step", ["bn1.beta", "bn1.gamma", "bn2.beta", "bn2.gamma"]),
+        ("sgdm", "optim.sgdm_step", []),
+    ])
+    def test_a_traced_step_span_holds_the_whole_step(self, monkeypatch, tmp_path,
+                                                     optimizer, update, curvature):
+        # the tracer opens train.step at a forward_v directly under
+        # train.train and closes it when that step's tape is released, so
+        # the tape must be released after the optimizer step
+        tracer = traced_train(monkeypatch, one_step_cnn_bn(tmp_path, optimizer))
+        spans = [(name, parent, detail) for name, _, _, parent, _, detail in tracer.spans]
+        steps = [i for i, (name, _, _) in enumerate(spans) if name == "train.step"]
+        assert len(steps) == 1
+
+        def in_step(i):
+            while i > steps[0]:
+                i = spans[i][1]
+            return i == steps[0]
+
+        inside = [(name, detail) for i, (name, _, detail) in enumerate(spans)
+                  if i > steps[0] and in_step(i)]
+        names = {name for name, _ in inside}
+        assert {"nn.forward_v", "autodiff.backward", update} <= names
+        assert sorted(detail for name, detail in inside
+                      if name == "autodiff.hessian_diag_1d") == curvature
+
+
+def one_step_cnn_bn(tmp_path, optimizer: str) -> RunConfig:
+    """A one-step cnn-bn run on a 10-image digit fixture."""
+    paths = write_digits_fixture(str(tmp_path / "idx"), n_train=10, n_test=10, seed=0)
+    return RunConfig(model="cnn-bn", optimizer=optimizer, epochs=1, batch_size=10,
+                     dataset_kind="idx", dataset_subset_n=10,
+                     dataset_train_images=paths["train_images"],
+                     dataset_train_labels=paths["train_labels"],
+                     dataset_test_images=paths["test_images"],
+                     dataset_test_labels=paths["test_labels"],
+                     out_metrics=str(tmp_path / "m.jsonl"),
+                     out_checkpoint=str(tmp_path / "m.ckpt"))
+
+
+def traced_train(monkeypatch, cfg: RunConfig):
+    """The bench's Tracer after one train.train run inside a train.train
+    span, as the bench opens it."""
+    tracer = load_bench_module(monkeypatch, "tracing").Tracer()
+    tracer.install()
+    try:
+        sid = tracer.begin("train.train")
+        train.train(cfg)
+        tracer.end(sid)
+    finally:
+        tracer.uninstall()
+    return tracer
 
 
 class TestValidation:

@@ -1,4 +1,5 @@
-"""Layer forward semantics, dual-path agreement, and loss hand values."""
+"""Layer forward semantics, dual-path agreement, loss hand values, and the
+one function that builds a model tape."""
 
 import functools
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sgdph import autodiff as ad
-from sgdph import nn
+from sgdph import nn, oracle, train
+from sgdph.config import RunConfig
 from sgdph.tensor import Rng, ShapeMismatchError, conv2d as conv2d_np
 
 import nets
@@ -256,6 +258,34 @@ class TestModel:
     def test_unknown_model_name(self):
         with pytest.raises(ValueError, match="unknown model"):
             nn.build_model("nope", Rng(0), in_shape=(2,), n_classes=2)
+
+
+class TestTapedBatch:
+    def test_train_and_the_oracle_build_model_tapes_only_here(self, tmp_path, monkeypatch):
+        # a training run, a gradcheck and a tape_hdiag build each of their
+        # tapes in one taped_batch call, and no other
+        counts = {"graphs": 0, "batches": 0}
+
+        class CountingGraph(ad.Graph):
+            def __init__(self):
+                counts["graphs"] += 1
+                super().__init__()
+
+        def counting_batch(*args, _real=nn.taped_batch, **kwargs):
+            counts["batches"] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(ad, "Graph", CountingGraph)
+        monkeypatch.setattr(nn, "taped_batch", counting_batch)
+        result = train.train(RunConfig(model="mlp-bn", epochs=1, dataset_n=100, batch_size=25,
+                                       out_metrics=str(tmp_path / "m.jsonl"),
+                                       out_checkpoint=str(tmp_path / "m.ckpt")))
+        steps = sum(r["split"] == "train" for r in result.records)
+        model = nn.build_model("mlp-bn", Rng(0), in_shape=(3,), n_classes=2)
+        x, labels = Rng(1).normal((8, 3)), np.array([0, 1] * 4)
+        oracle.gradcheck(model, x, "ce", labels)
+        oracle.tape_hdiag(model, x, "bn1.gamma", "ce", labels)
+        assert steps > 0 and counts == {"graphs": steps + 2, "batches": steps + 2}
 
 
 class TestZoo:

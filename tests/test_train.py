@@ -1,10 +1,12 @@
 """Training loop artifacts: metrics layout, determinism, counters,
 checkpoints, and the two-optimizer comparison."""
 
+import gc
 import itertools
 import json
 import platform
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -119,6 +121,35 @@ class TestTrainLoop:
             tr.train(cfg)
         records = read_records(cfg.out_metrics)
         assert [(r["epoch"], r["step"], r["split"]) for r in records] == [(0, 0, "train")]
+
+    def test_aborted_step_frees_its_tape(self, tmp_path, monkeypatch):
+        # with the cyclic collector off, every array of the aborted step's
+        # tape dies with the abort: the step releases its tape on the way out
+        real_backward, real_hdiag = ad.backward, ad.hessian_diag_1d
+        calls = itertools.count()
+        refs = []
+
+        def backward(loss, **kwargs):
+            grads = real_backward(loss, **kwargs)
+            refs[:] = [weakref.ref(v.value) for v in loss.graph.nodes if v.parents]
+            return grads
+
+        def nan_from_step_1(loss, p):
+            h = real_hdiag(loss, p)
+            return np.full_like(h, np.nan) if next(calls) >= 2 else h
+
+        monkeypatch.setattr(ad, "backward", backward)
+        monkeypatch.setattr(ad, "hessian_diag_1d", nan_from_step_1)
+        cfg = small_cfg(tmp_path, "nan-h-freed", optimizer="sgdph", epochs=1)
+        gc.collect()
+        gc.disable()
+        try:
+            with pytest.raises(tr.TrainAbortError, match=r"^epoch 0 step 1: "):
+                tr.train(cfg)
+            alive = sum(r() is not None for r in refs)
+        finally:
+            gc.enable()
+        assert refs and alive == 0
 
     def test_non_finite_gradient_names_epoch_and_step(self, tmp_path, monkeypatch):
         real = ad.backward
