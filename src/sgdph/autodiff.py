@@ -2,21 +2,22 @@
 
 Every adjoint the backward sweep builds is expressed through the same
 operations as the forward pass, so the backward computation can land on
-the tape too. A retaining backward records only what can feed the
-gradient g_p of a channel-wise parameter: the adjoints of the nodes that
-depend on a channel-wise leaf. It computes every other adjoint off the
-tape with the same arithmetic. A second reverse sweep seeded with ones at
-g_p then computes d(sum g_p)/dp. For a 1-D parameter p of length C that
-vector is exactly H_pp @ 1, the row sums of p's Hessian block; it
+the tape too. backward(loss, retain=leaves) records only what can feed
+the gradient g_p of each leaf p it is given: the adjoints of the nodes
+that depend on one of those leaves. It computes every other adjoint off
+the tape with the same arithmetic. A second reverse sweep seeded with ones
+at g_p then computes d(sum g_p)/dp. For a 1-D parameter p of length C
+that vector is exactly H_pp @ 1, the row sums of p's Hessian block; it
 coincides with the block's diagonal whenever the block is diagonal, as it
 is for the scale and shift of a terminal batch-norm layer under an
-elementwise loss.
+elementwise loss. The tape holds no parameter semantics: its caller
+(nn.taped_batch) names the leaves whose curvature it wants.
 
 Both sweeps run through one routine that lets adjoints flow only into a
 given set of nodes, a descendant cone found by one forward pass over the
 tape, and records the adjoints of a second such cone. The first backward
 pass admits the cone of the parameter leaves and records that of the
-channel-wise leaves; the second admits only p's, the nodes between p and
+retained leaves; the second admits only p's, the nodes between p and
 g_p that depend on p, since no other node's adjoint can reach p, and
 records nothing. Skipping the rest (the activations upstream of p above
 all) leaves every curvature vector bit for bit unchanged.
@@ -57,12 +58,14 @@ Tapes are define-by-run and single-use: build a fresh Graph per step.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 
 import numpy as np
 
 from . import tensor
 from .tensor import ShapeMismatchError, elementwise
 
+# parameter tags that nn.Parameter and the optimizer read; the tape itself does not
 CHANNELWISE_1D = "channelwise-1d"
 DENSE = "dense"
 
@@ -85,10 +88,6 @@ class MissingDifferentiableGraphError(RuntimeError):
     pass
 
 
-class WrongKindError(TypeError):
-    pass
-
-
 class Graph:
     """Append-only tape. Node ids are topologically ordered (inputs precede
     consumers) and a backward pass visits them in strictly reverse id order.
@@ -101,7 +100,8 @@ class Graph:
     def __init__(self):
         self.nodes: list[Variable] = []
         self.recording = True
-        self.retained: dict[int, "Variable"] | None = None
+        # leaf id -> its differentiable gradient, None where the loss does not reach it
+        self.retained: dict[int, Variable | None] = {}
         # (shape, dtype) -> the NaN view that the freed values of that shape share (_drop)
         self.nan_views: dict[tuple, np.ndarray] = {}
 
@@ -111,8 +111,8 @@ class Graph:
         self.nodes.append(v)
         return len(self.nodes) - 1
 
-    def variable(self, value, kind: str | None = None) -> "Variable":
-        return Variable(self, value, kind=kind, op="leaf")
+    def variable(self, value) -> "Variable":
+        return Variable(self, value, op="leaf")
 
     def constant(self, value) -> "Variable":
         return Variable(self, value, op="const")
@@ -129,7 +129,7 @@ class Graph:
             v.parents = ()
         self.nodes.clear()
         self.nan_views.clear()
-        self.retained = None
+        self.retained = {}
         self.recording = False
 
 
@@ -188,12 +188,11 @@ class Variable:
     the value of a node with parents that is not saved (see _drop): it
     keeps its shape and dtype but reads as NaN."""
 
-    __slots__ = ("graph", "id", "value", "parents", "vjps", "kind", "op", "saved")
+    __slots__ = ("graph", "id", "value", "parents", "vjps", "op", "saved")
 
-    def __init__(self, graph, value, parents=(), vjps=(), kind=None, op=""):
+    def __init__(self, graph, value, parents=(), vjps=(), op=""):
         self.graph = graph
         self.value = np.asarray(value)
-        self.kind = kind
         self.op = op
         self.saved = False
         self.id = graph._append(self)
@@ -526,15 +525,17 @@ def _cone(graph: Graph, sources: list[Variable], last: int) -> set[int]:
     return cone
 
 
-def backward(loss: Variable, retain_differentiable: bool = False) -> dict[int, np.ndarray]:
-    """Gradients of a scalar loss for every leaf, keyed by node id. With
-    retain_differentiable the backward pass that feeds a channel-wise
-    gradient is itself recorded, and those gradient Variables are kept on
-    the graph, making a subsequent hessian_diag_1d call valid. Only the
-    adjoints of the channel-wise leaves' descendant cone go on the tape: no
-    other adjoint can reach a channel-wise gradient, so the rest (the dense
-    gradients, and the adjoints upstream of every channel-wise leaf) are
-    computed off the tape, bit for bit as they would be on it.
+def backward(loss: Variable, retain: Sequence[Variable] = ()) -> dict[int, np.ndarray]:
+    """Gradients of a scalar loss for every leaf, keyed by node id. The
+    backward pass that feeds the gradient of each leaf in `retain` is itself
+    recorded, and graph.retained maps each such leaf's id to its gradient
+    Variable, or to None where the loss does not reach the leaf: that makes
+    a subsequent hessian_diag_1d call valid for exactly these leaves. Only
+    the adjoints of the retained leaves' descendant cone go on the tape: no
+    other adjoint can reach their gradients, so the rest (the other leaves'
+    gradients, and the adjoints upstream of every retained leaf) are
+    computed off the tape, bit for bit as they would be on it. With
+    `retain` empty nothing is recorded.
 
     No vjp reads an unsaved value, so the values of the unsaved nodes below
     the loss are freed before the sweep. The sweep frees the recorded
@@ -548,8 +549,7 @@ def backward(loss: Variable, retain_differentiable: bool = False) -> dict[int, n
     if loss.id < 0:
         raise MissingDifferentiableGraphError("loss was built while recording was off")
     leaves = [node for node in graph.nodes if node.op == "leaf"]
-    one_d = [node for node in leaves if node.kind == CHANNELWISE_1D]
-    keep = _cone(graph, one_d, loss.id) if retain_differentiable else frozenset()
+    keep = _cone(graph, retain, loss.id)
     _drop(graph, graph.nodes[:loss.id])  # the forward is complete
     recorded = len(graph.nodes)
     adj = _sweep(graph, loss, _cone(graph, leaves, loss.id), keep)
@@ -557,32 +557,28 @@ def backward(loss: Variable, retain_differentiable: bool = False) -> dict[int, n
     for node in leaves:
         a = adj.get(node.id)
         grads[node.id] = np.zeros_like(node.value) if a is None else a.value.copy()
-    graph.retained = None
-    if retain_differentiable:
-        graph.retained = {v.id: adj[v.id] for v in one_d if v.id in adj}
-        _drop(graph, graph.nodes[recorded:], {v.id for v in graph.retained.values()})
+    graph.retained = {v.id: adj.get(v.id) for v in retain}
+    _drop(graph, graph.nodes[recorded:],
+          {g.id for g in graph.retained.values() if g is not None})
     return grads
 
 
 def hessian_diag_1d(loss: Variable, p: Variable) -> np.ndarray:
-    """Channel-wise curvature of a 1-D parameter: seeds a second reverse
-    sweep with ones at p's retained gradient, returning d(sum grad_p)/dp,
-    i.e. the row sums H_pp @ 1 of p's exact Hessian block. The sweep visits
-    only p's descendant cone below grad_p, the nodes through which an
-    adjoint can reach p."""
-    if p.kind != CHANNELWISE_1D or p.value.ndim != 1:
-        raise WrongKindError(
-            f"hessian_diag_1d needs a 1-D parameter tagged {CHANNELWISE_1D!r}, "
-            f"got kind {p.kind!r} with shape {p.shape}"
-        )
+    """Curvature of a 1-D leaf p that backward() retained: seeds a second
+    reverse sweep with ones at p's retained gradient, returning
+    d(sum grad_p)/dp, i.e. the row sums H_pp @ 1 of p's exact Hessian
+    block. The sweep visits only p's descendant cone below grad_p, the
+    nodes through which an adjoint can reach p."""
+    if p.value.ndim != 1:
+        raise ShapeMismatchError(f"hessian_diag_1d needs a 1-D parameter, got shape {p.shape}")
     graph = p.graph
     if loss.graph is not graph:
         raise MissingDifferentiableGraphError("loss and parameter live on different graphs")
-    if graph.retained is None:
+    if p.id not in graph.retained:
         raise MissingDifferentiableGraphError(
-            "run backward(loss, retain_differentiable=True) on this graph first"
+            f"{p!r} was not retained: run backward(loss, retain=[p]) on this graph first"
         )
-    g_p = graph.retained.get(p.id)
+    g_p = graph.retained[p.id]
     if g_p is None:
         return np.zeros_like(p.value)
     adj = _sweep(graph, g_p, _cone(graph, [p], g_p.id))

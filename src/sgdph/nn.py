@@ -281,6 +281,14 @@ def _loss_v(kind: str, y: ad.Variable, labels) -> ad.Variable:
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
+def _loss_np(kind: str, y: np.ndarray, labels) -> float:
+    if kind == "sos":
+        return sum_of_squares_np(y)
+    if kind == "ce":
+        return softmax_cross_entropy_np(y, labels)
+    raise ValueError(f"unknown loss kind {kind!r}")
+
+
 # ---------------------------------------------------------------------------
 # model container and zoo
 
@@ -314,11 +322,8 @@ class Model:
             p.value = v.copy()
 
     def bind(self, graph: ad.Graph) -> dict[str, ad.Variable]:
-        """One leaf per parameter, tagged with its kind."""
-        return {
-            p.name: graph.variable(p.value, kind=p.kind)
-            for p in self.parameters()
-        }
+        """One leaf per parameter, by name; the tape sees no parameter kind."""
+        return {p.name: graph.variable(p.value) for p in self.parameters()}
 
     def forward_v(self, x: ad.Variable, env: dict[str, ad.Variable]) -> ad.Variable:
         for layer in self.layers:
@@ -349,7 +354,7 @@ def taped_batch(model: Model, x: np.ndarray, labels, loss: str, curvature=()):
         y = model.forward_v(xv, env)
         loss_var = _loss_v(loss, y, labels)
         logits = y.value  # before the backward frees it
-        grads_by_id = ad.backward(loss_var, retain_differentiable=bool(curvature))
+        grads_by_id = ad.backward(loss_var, retain=[env[n] for n in curvature])
         grads = {name: grads_by_id[v.id] for name, v in env.items()}
         hdiags = {name: ad.hessian_diag_1d(loss_var, env[name]) for name in curvature}
         yield float(loss_var.value), logits, grads, hdiags

@@ -135,14 +135,6 @@ def preserve_bn_stats(model: nn.Model):
             layer.running_var = var
 
 
-def _loss_np(kind: str, y: np.ndarray, labels) -> float:
-    if kind == "sos":
-        return nn.sum_of_squares_np(y)
-    if kind == "ce":
-        return nn.softmax_cross_entropy_np(y, labels)
-    raise ValueError(f"unknown loss kind {kind!r}")
-
-
 def model_lossfn(model: nn.Model, x: np.ndarray, loss: str = "sos", labels=None):
     """Array-path loss closure over parameter values, for FD oracles. Each
     ReLU is held at its mask z > 0 at the model's current values, so an FD
@@ -177,7 +169,7 @@ def model_lossfn(model: nn.Model, x: np.ndarray, loss: str = "sos", labels=None)
         z = inputs[start]
         for layer, mask in zip(model.layers[start:], masks[start:]):
             z = layer.forward_np(z, values, training=True) if mask is None else z * mask
-        return _loss_np(loss, z, labels)
+        return nn._loss_np(loss, z, labels)
 
     return lossfn
 
@@ -339,12 +331,12 @@ def newton_step_check(a, gamma0, opt: optim.SgdPhConfig, b=0.0,
     b = np.broadcast_to(np.asarray(b, dtype=np.float64), gamma0.shape)
 
     graph = ad.Graph()
-    gvar = graph.variable(gamma0.copy(), kind=ad.CHANNELWISE_1D)
+    gvar = graph.variable(gamma0.copy())
     loss = ad.add(
         ad.sum_all(ad.cmul(ad.mul(gvar, gvar), 0.5 * a)),
         ad.sum_all(ad.cmul(gvar, b)),
     )
-    grad = ad.backward(loss, retain_differentiable=True)[gvar.id]
+    grad = ad.backward(loss, retain=[gvar])[gvar.id]
     h = ad.hessian_diag_1d(loss, gvar)
     graph.release()
 

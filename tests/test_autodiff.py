@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sgdph import autodiff as ad
-from sgdph import nn, oracle, tensor
+from sgdph import cli, nn, oracle, tensor
 from sgdph.data import gen_digits
 from sgdph.tensor import Rng, ShapeMismatchError
 
@@ -25,11 +25,11 @@ def fd_grad(f, x, h=1e-6):
     return g.reshape(x.shape)
 
 
-def grad_of(build, x0, kind=ad.DENSE):
+def grad_of(build, x0):
     """Runs build(leaf) -> scalar Variable on a fresh tape, returns the
     leaf's gradient."""
     graph = ad.Graph()
-    leaf = graph.variable(np.asarray(x0, dtype=np.float64), kind=kind)
+    leaf = graph.variable(np.asarray(x0, dtype=np.float64))
     loss = build(leaf)
     grads = ad.backward(loss)
     return grads[leaf.id]
@@ -37,9 +37,9 @@ def grad_of(build, x0, kind=ad.DENSE):
 
 def hdiag_of(build, x0):
     graph = ad.Graph()
-    leaf = graph.variable(np.asarray(x0, dtype=np.float64), kind=ad.CHANNELWISE_1D)
+    leaf = graph.variable(np.asarray(x0, dtype=np.float64))
     loss = build(leaf)
-    ad.backward(loss, retain_differentiable=True)
+    ad.backward(loss, retain=[leaf])
     return ad.hessian_diag_1d(loss, leaf)
 
 
@@ -212,28 +212,28 @@ class TestSecondSweep:
 
     def test_repeated_extraction_is_stable(self):
         graph = ad.Graph()
-        leaf = graph.variable(np.array([0.4, 1.3]), kind=ad.CHANNELWISE_1D)
+        leaf = graph.variable(np.array([0.4, 1.3]))
         loss = ad.sum_all(ad.mul(ad.mul(leaf, leaf), leaf))
-        ad.backward(loss, retain_differentiable=True)
+        ad.backward(loss, retain=[leaf])
         first = ad.hessian_diag_1d(loss, leaf)
         second = ad.hessian_diag_1d(loss, leaf)
         np.testing.assert_array_equal(first, second)
 
     def test_extraction_does_not_grow_tape(self):
         graph = ad.Graph()
-        leaf = graph.variable(np.array([0.4, 1.3]), kind=ad.CHANNELWISE_1D)
+        leaf = graph.variable(np.array([0.4, 1.3]))
         loss = ad.sum_all(ad.mul(leaf, leaf))
-        ad.backward(loss, retain_differentiable=True)
+        ad.backward(loss, retain=[leaf])
         before = len(graph.nodes)
         ad.hessian_diag_1d(loss, leaf)
         assert len(graph.nodes) == before
 
     def test_parameter_absent_from_loss_gives_zeros(self):
         graph = ad.Graph()
-        used = graph.variable(np.array([1.0]), kind=ad.CHANNELWISE_1D)
-        unused = graph.variable(np.array([1.0, 2.0]), kind=ad.CHANNELWISE_1D)
+        used = graph.variable(np.array([1.0]))
+        unused = graph.variable(np.array([1.0, 2.0]))
         loss = ad.sum_all(ad.mul(used, used))
-        ad.backward(loss, retain_differentiable=True)
+        ad.backward(loss, retain=[used, unused])
         np.testing.assert_array_equal(ad.hessian_diag_1d(loss, unused), [0.0, 0.0])
 
     def test_loss_of_constants_admits_no_node(self):
@@ -242,7 +242,7 @@ class TestSecondSweep:
         c = graph.constant(np.array([1.0, 2.0]))
         loss = ad.sum_all(ad.exp(c))
         assert ad._cone(graph, [], loss.id) == set()
-        assert ad.backward(loss, retain_differentiable=True) == {}
+        assert ad.backward(loss, retain=[]) == {}
         assert graph.retained == {}
 
 
@@ -264,10 +264,16 @@ def small_cnn_loss(model_name, dtype=np.float32):
     return model, graph, env, loss, starts
 
 
+def channelwise(model, env):
+    """The leaves of the model's 1-D parameters, in model order."""
+    return [env[p.name] for p in model.parameters() if p.kind == ad.CHANNELWISE_1D]
+
+
 def small_cnn_tape(model_name):
-    """small_cnn_loss in f32, with the differentiable backward retained."""
+    """small_cnn_loss in f32, with the differentiable backward of every
+    1-D parameter retained."""
     model, graph, env, loss, starts = small_cnn_loss(model_name)
-    ad.backward(loss, retain_differentiable=True)
+    ad.backward(loss, retain=channelwise(model, env))
     return model, graph, env, loss, starts
 
 
@@ -350,7 +356,7 @@ class TestConvolutionTape:
         # a weight-norm length reaches the loss only through the kernel, so
         # its sweep differentiates the recorded kernel adjoint conv_w
         model, graph, env, loss, _ = small_cnn_loss("cnn-wn", np.float64)
-        ad.backward(loss, retain_differentiable=True)
+        ad.backward(loss, retain=channelwise(model, env))
         fired = []
         record_fired(graph, fired)
         x = Rng(1).normal((4, 1, 6, 6))
@@ -406,13 +412,13 @@ class TestAdjointLifetime:
         assert peak / activation <= 16
 
 
-def grads_and_curvature(graph, loss):
-    """The bytes of every leaf gradient of a retaining backward, then of
-    every channel-wise leaf's curvature vector."""
+def grads_and_curvature(graph, loss, retain):
+    """The bytes of every leaf gradient of a backward that retains the
+    leaves in `retain`, then of each of their curvature vectors."""
     leaves = [v for v in graph.nodes if v.op == "leaf"]
-    grads = ad.backward(loss, retain_differentiable=True)
+    grads = ad.backward(loss, retain=retain)
     out = [grads[v.id] for v in leaves]
-    out += [ad.hessian_diag_1d(loss, v) for v in leaves if v.kind == ad.CHANNELWISE_1D]
+    out += [ad.hessian_diag_1d(loss, v) for v in retain]
     assert all(np.isfinite(a).all() for a in out)
     return [a.tobytes() for a in out]
 
@@ -446,19 +452,19 @@ class TestSweepFreeing:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("model_name", ["cnn-bn", "cnn-wn"])
     def test_freeing_and_in_place_sums_keep_every_bit(self, model_name, dtype, monkeypatch):
-        _, graph, _, loss, _ = small_cnn_loss(model_name, dtype)
-        lean = grads_and_curvature(graph, loss)
+        model, graph, env, loss, _ = small_cnn_loss(model_name, dtype)
+        lean = grads_and_curvature(graph, loss, channelwise(model, env))
         keep_everything(monkeypatch)
-        _, graph, _, loss, _ = small_cnn_loss(model_name, dtype)
-        assert lean == grads_and_curvature(graph, loss)
+        model, graph, env, loss, _ = small_cnn_loss(model_name, dtype)
+        assert lean == grads_and_curvature(graph, loss, channelwise(model, env))
 
     @pytest.mark.parametrize("build", [square_after_a_contribution, add_into_two_parents,
                                        identity_broadcast])
     def test_shared_values_outlive_their_first_use(self, build, monkeypatch):
         def run():
             graph = ad.Graph()
-            x = graph.variable(np.array([0.3, -0.7, 1.1]), kind=ad.CHANNELWISE_1D)
-            return grads_and_curvature(graph, build(x))
+            x = graph.variable(np.array([0.3, -0.7, 1.1]))
+            return grads_and_curvature(graph, build(x), [x])
 
         lean = run()
         keep_everything(monkeypatch)
@@ -496,11 +502,12 @@ class TestSweepFreeing:
         # recorded adjoints and the operands of recorded adds are freed at
         # their last use: 16.0 activations, where holding them to the end
         # of the sweep peaked at 22.0
-        _, _, _, loss, _ = small_cnn_loss("cnn-bn")
+        model, _, env, loss, _ = small_cnn_loss("cnn-bn")
+        retain = channelwise(model, env)
         activation = np.zeros((4, 16, 6, 6), dtype=np.float32).nbytes
         tracemalloc.start()
         try:
-            ad.backward(loss, retain_differentiable=True)
+            ad.backward(loss, retain=retain)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -622,7 +629,7 @@ class TestEdges:
     def test_a_square_builds_its_product_once(self, model_name, recorded):
         # mul(a, a) holds one function on both edges, so the retained
         # backward calls it once: bn2's mul(d, d) records one mul, not two
-        _, graph, _, loss, _ = small_cnn_loss(model_name)
+        model, graph, env, loss, _ = small_cnn_loss(model_name)
         squares = [v for v in graph.nodes if v.op == "mul" and v.parents[0] is v.parents[1]]
         calls = {v.id: [] for v in squares}
 
@@ -638,18 +645,53 @@ class TestEdges:
         for v in squares:
             f = counted(v, v.vjps[0])
             v.vjps = (f, f)
-        ad.backward(loss, retain_differentiable=True)
+        ad.backward(loss, retain=channelwise(model, env))
         assert [len(c) for c in calls.values()] == [1, 1]
         assert [len(c[0]) for c in calls.values()] == recorded
         assert all(op == "mul" for c in calls.values() for op in c[0])
 
 
+class TestRetainedCone:
+    def test_a_one_parameter_audit_records_only_its_cone(self, monkeypatch):
+        # the verify batch: bn2.gamma's cone leaves out the adjoints upstream
+        # of bn2 that the four BatchNorm parameters' backward records, 90
+        # nodes against 129
+        sizes = []
+        release = ad.Graph.release
+
+        def spy(graph):
+            sizes.append(len(graph.nodes))
+            release(graph)
+
+        monkeypatch.setattr(ad.Graph, "release", spy)
+        model, x, loss, labels = cli._verify_input("cnn-bn", 0)
+        with oracle.preserve_bn_stats(model), nn.taped_batch(
+                model, x, labels, loss, ["bn1.gamma", "bn1.beta", "bn2.gamma", "bn2.beta"]):
+            pass
+        oracle.tape_hdiag(model, x, "bn2.gamma", loss, labels)
+        every, one = sizes
+        assert one < every
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("model_name", ["cnn-bn", "cnn-wn"])
+    def test_retaining_one_leaf_keeps_its_curvature_bits(self, model_name, dtype):
+        model, _, env, loss, _ = small_cnn_loss(model_name, dtype)
+        retain = channelwise(model, env)
+        ad.backward(loss, retain=retain)
+        every = [ad.hessian_diag_1d(loss, v) for v in retain]
+        for i, ref in enumerate(every):
+            model, _, env, loss, _ = small_cnn_loss(model_name, dtype)
+            p = channelwise(model, env)[i]
+            ad.backward(loss, retain=[p])
+            h = ad.hessian_diag_1d(loss, p)
+            assert h.dtype == dtype and h.tobytes() == ref.tobytes(), i
+
+
 class TestRetainedBackward:
     @pytest.mark.parametrize("model_name", ["cnn-bn", "cnn-wn"])
     def test_every_recorded_node_feeds_a_channelwise_gradient(self, model_name):
-        _, graph, env, loss, _ = small_cnn_tape(model_name)
-        assert set(graph.retained) == {v.id for v in env.values()
-                                       if v.kind == ad.CHANNELWISE_1D}
+        model, graph, env, loss, _ = small_cnn_tape(model_name)
+        assert set(graph.retained) == {v.id for v in channelwise(model, env)}
         feeds, todo = set(), list(graph.retained.values())
         while todo:
             v = todo.pop()
@@ -666,8 +708,8 @@ class TestRetainedBackward:
         # ones on it: both with the arithmetic of the plain backward
         runs = []
         for retain in (False, True):
-            _, _, env, loss, _ = small_cnn_loss(model_name, dtype)
-            grads = ad.backward(loss, retain_differentiable=retain)
+            model, _, env, loss, _ = small_cnn_loss(model_name, dtype)
+            grads = ad.backward(loss, retain=channelwise(model, env) if retain else ())
             runs.append({name: grads[v.id] for name, v in env.items()})
         plain, retained = runs
         for name, g in plain.items():
@@ -710,9 +752,9 @@ class TestTrainingScale:
             # forward values: the backward frees those no vjp reads
             masks = [n.value > 0 for n in graph.nodes if n.op == "relu"]
             assert all(m.any() for m in masks)
-            ad.backward(loss, retain_differentiable=True)
-            h = {name: ad.hessian_diag_1d(loss, v) for name, v in env.items()
-                 if v.kind == ad.CHANNELWISE_1D}
+            one_d = [p.name for p in model.parameters() if p.kind == ad.CHANNELWISE_1D]
+            ad.backward(loss, retain=[env[name] for name in one_d])
+            h = {name: ad.hessian_diag_1d(loss, env[name]) for name in one_d}
             runs[dtype] = masks, h
             graph.release()
         (m32, h32), (m64, h64) = runs[np.float32], runs[np.float64]
@@ -735,26 +777,30 @@ class TestErrors:
 
     def test_hessian_without_retain(self):
         graph = ad.Graph()
-        leaf = graph.variable(np.array([1.0]), kind=ad.CHANNELWISE_1D)
+        leaf = graph.variable(np.array([1.0]))
         loss = ad.sum_all(ad.mul(leaf, leaf))
         ad.backward(loss)
         with pytest.raises(ad.MissingDifferentiableGraphError):
             ad.hessian_diag_1d(loss, leaf)
 
-    def test_hessian_wrong_kind(self):
+    def test_hessian_of_a_leaf_left_out_of_retain(self):
+        # only the leaves named to backward get a differentiable gradient
         graph = ad.Graph()
-        leaf = graph.variable(np.array([1.0]), kind=ad.DENSE)
-        loss = ad.sum_all(ad.mul(leaf, leaf))
-        ad.backward(loss, retain_differentiable=True)
-        with pytest.raises(ad.WrongKindError):
-            ad.hessian_diag_1d(loss, leaf)
+        kept = graph.variable(np.array([1.0]))
+        left_out = graph.variable(np.array([2.0]))
+        loss = ad.sum_all(ad.mul(ad.mul(kept, kept), ad.mul(left_out, left_out)))
+        ad.backward(loss, retain=[kept])
+        assert set(graph.retained) == {kept.id}
+        np.testing.assert_array_equal(ad.hessian_diag_1d(loss, kept), [8.0])
+        with pytest.raises(ad.MissingDifferentiableGraphError, match="not retained"):
+            ad.hessian_diag_1d(loss, left_out)
 
     def test_hessian_needs_1d(self):
         graph = ad.Graph()
-        leaf = graph.variable(np.ones((2, 2)), kind=ad.CHANNELWISE_1D)
+        leaf = graph.variable(np.ones((2, 2)))
         loss = ad.sum_all(ad.mul(leaf, leaf))
-        ad.backward(loss, retain_differentiable=True)
-        with pytest.raises(ad.WrongKindError):
+        ad.backward(loss, retain=[leaf])
+        with pytest.raises(ShapeMismatchError, match=r"1-D.*\(2, 2\)"):
             ad.hessian_diag_1d(loss, leaf)
 
     def test_loss_built_off_tape(self):
@@ -788,10 +834,10 @@ class TestErrors:
 
     def test_mismatched_graphs(self):
         g1, g2 = ad.Graph(), ad.Graph()
-        p1 = g1.variable(np.array([1.0]), kind=ad.CHANNELWISE_1D)
-        p2 = g2.variable(np.array([1.0]), kind=ad.CHANNELWISE_1D)
+        p1 = g1.variable(np.array([1.0]))
+        p2 = g2.variable(np.array([1.0]))
         loss = ad.sum_all(ad.mul(p1, p1))
-        ad.backward(loss, retain_differentiable=True)
+        ad.backward(loss, retain=[p1])
         with pytest.raises(ad.MissingDifferentiableGraphError):
             ad.hessian_diag_1d(loss, p2)
 

@@ -1,6 +1,7 @@
 """Config file parsing, dotted keys, coercion, and validation; the
 recipes and program names the benchmark reads."""
 
+import ast
 import dataclasses
 import importlib
 import re
@@ -154,6 +155,26 @@ class TestTracedNames:
                 target = getattr(target, part, None)
                 assert target is not None, f"sgdph.{module_name}.{attr}"
             assert callable(target), f"sgdph.{module_name}.{attr}"
+
+    def test_every_sgdph_attribute_the_bench_reads_exists(self):
+        # bench/*.py read these through `from sgdph import X as Y`, Y.attr;
+        # a name moved out of sgdph would break only a bench run
+        read, missing = set(), []
+        for path in sorted((ROOT / "bench").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            modules = {a.asname or a.name: f"sgdph.{a.name}" for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) and node.module == "sgdph"
+                       for a in node.names}
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                        and isinstance(node.value, ast.Name) and node.value.id in modules):
+                    module = modules[node.value.id]
+                    read.add((module, node.attr))
+                    if not hasattr(importlib.import_module(module), node.attr):
+                        missing.append(f"{path.name}: {module}.{node.attr}")
+        assert missing == []
+        assert {("sgdph.autodiff", "CHANNELWISE_1D"), ("sgdph.cli", "_verify_input"),
+                ("sgdph.cli", "ROWSUM_TOL"), ("sgdph.train", "load_checkpoint")} <= read
 
     def test_a_traced_step_counts_only_the_values_the_tape_keeps(self, monkeypatch, tmp_path):
         # the tracer reads every tape value's flags after each backward, so a
