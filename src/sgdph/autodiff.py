@@ -36,21 +36,24 @@ adjoint conv_w it forms a family closed under differentiation: each of the
 three has its vjps in the other two and itself, so a recorded backward
 through a convolution holds no patch matrix and stays exact to any order.
 
-A node keeps its value only if some vjp reads it. An on-tape op marks
-`saved` the operands its vjps capture (both operands of mul, matmul and
-the three convolutions, and log's), or its own output where the vjp is
-written in it (recip, sqrt, exp). The other ops capture a bool mask
-(relu), a constant (cmul) or shapes only. Once the forward is complete,
-backward() frees every unsaved value below the loss. A retaining sweep
-frees each unsaved adjoint it records, and both operands of each
-recorded add, once the node that used them last has fired; backward()
-then frees the rest of the unsaved values the sweep recorded. The loss,
-the leaves, the constants and the retained gradients keep theirs. On a
-cnn-bn f32 step at batch 100 the tape then holds 39.1 MiB after the
-backward, counted by distinct base arrays, where it held 106.1. By
-tracemalloc the recorded backward peaks at 52.6 MiB (96.1 when its
-values lived to the end of the sweep) and the step at 69.4 MiB, inside
-the bn1 curvature sweeps.
+A node keeps its value only while a vjp that can still fire reads it.
+Each on-tape edge names in `reads` the one operand its vjp reads: the
+other operand for mul, matmul and the three convolutions, the input for
+log, and the node's own output for recip, sqrt and exp. The other ops read
+a bool mask (relu), a constant (cmul) or shapes only. Every operand some
+edge reads is marked `saved`. Once the forward is complete, backward()
+frees every unsaved value below the loss. A retaining sweep frees each
+unsaved adjoint it records, and both operands of each recorded add, once
+the node that used them last has fired. A curvature sweep crosses only
+the edges into the retained leaves' descendant cone, so backward() then
+frees every value that no such edge reads, saved or not. The loss, the
+leaves, the constants and the retained gradients keep theirs. On a cnn-bn
+f32 step at batch 100 the tape then holds 22.3 MiB after the backward,
+counted by distinct base arrays: 39.1 when every saved value stayed, and
+106.1 when every value did. By tracemalloc the step then peaks at 52.6
+MiB, in the recorded backward (96.1 when its values lived to the end of
+the sweep) and in the bn1 curvature sweeps alike; over the 39.1 MiB tape
+those sweeps peaked at 69.4. The forward peaks at 52.1.
 
 Tapes are define-by-run and single-use: build a fresh Graph per step.
 """
@@ -119,14 +122,14 @@ class Graph:
 
     def release(self) -> None:
         """Severs every node's tape edges and drops the node list.
-        Self-capturing vjp closures (exp, sqrt, recip) tie the forward and
-        backward webs into reference cycles that refcounting cannot free, so
-        a finished tape otherwise lives until a full gc pass. Only recorded
-        nodes carry those closures, so the cycles exist only among the nodes
-        this severs. No sweep may run afterwards."""
+        Self-reading nodes (exp, sqrt, recip), whose vjp closure and `reads`
+        hold the node itself, tie the forward and backward webs into
+        reference cycles that refcounting cannot free, so a finished tape
+        otherwise lives until a full gc pass. Only recorded nodes carry
+        edges, so the cycles exist only among the nodes this severs. No
+        sweep may run afterwards."""
         for v in self.nodes:
-            v.vjps = ()
-            v.parents = ()
+            v.vjps = v.parents = v.reads = ()
         self.nodes.clear()
         self.nan_views.clear()
         self.retained = {}
@@ -139,11 +142,12 @@ def keep_freed_memory() -> None:
 
     A cnn-bn f32 batch-100 step builds and frees about 106 MiB of
     activation-sized tape arrays (backward() frees 67 MiB of them as soon
-    as no vjp can read them), and each curvature sweep up to 30 MiB more of
-    transient adjoints; by tracemalloc the step peaks at 69 MiB, inside the
-    bn1 sweeps. When those arrays come from
-    mmap, or are trimmed off the top of the heap after Graph.release(),
-    every step's arrays are page-faulted and zeroed by the kernel again.
+    as no vjp can read them, and 17 MiB more once no curvature sweep can),
+    and each curvature sweep up to 30 MiB more of transient adjoints; by
+    tracemalloc the step peaks at 53 MiB, in the recorded backward and the
+    bn1 sweeps alike. When those arrays come from mmap, or are trimmed off
+    the top of the heap after Graph.release(), every step's arrays are
+    page-faulted and zeroed by the kernel again.
     Measured on cnn-bn f32 at batch 100 with a fixed 1 MiB mmap
     threshold, over the 100-step criterion 9 run: about 123k minor
     faults and 0.57 s of system CPU a step, 31% of the run's wall time,
@@ -157,9 +161,9 @@ def keep_freed_memory() -> None:
     matrix of conv2's input (22.6 MB in f32, 45 MB in f64) went past the
     threshold in f64. The trim threshold is set to never. A repeated step
     then faults almost no pages, in f32 and f64 alike. The cost is that the
-    process keeps its heap high-water mark
-    (a 99 MiB arena after the criterion 9 cnn-bn sgdph run) after train()
-    returns; a malloc_trim there would only re-fault it on the first step
+    process keeps its heap high-water mark (a 64.5 MiB arena by mallinfo2
+    after the criterion 9 cnn-bn sgdph run, 83.8 MiB while the tape kept
+    every value a vjp reads) after train() returns; a malloc_trim there would only re-fault it on the first step
     of the next train(). The oracle releases each tape it builds as well,
     and with the heap trimmed, one desk-scale tape_hdiag call on cnn-bn
     re-faulted about 400 pages. No-op off glibc. nn.taped_batch calls it
@@ -183,12 +187,16 @@ class Variable:
     contribution flowing into parents[i]. Two consecutive edges that hold
     the same function object get one contribution between them, built
     once: that is how mul(a, a) builds g*a a single time for both.
+    `reads` is aligned with them too: reads[i] is the one Variable whose
+    value vjps[i] reads, or None where it reads only shapes, a mask or a
+    constant.
 
-    `saved` is set when an on-tape vjp captures the node. backward() frees
-    the value of a node with parents that is not saved (see _drop): it
-    keeps its shape and dtype but reads as NaN."""
+    `saved` is set when an on-tape edge reads the node. backward() frees
+    the value of a node with parents that is not saved (see _drop), and
+    after a retaining sweep that of every node that no curvature sweep
+    reads: it keeps its shape and dtype but reads as NaN."""
 
-    __slots__ = ("graph", "id", "value", "parents", "vjps", "op", "saved")
+    __slots__ = ("graph", "id", "value", "parents", "vjps", "reads", "op", "saved")
 
     def __init__(self, graph, value, parents=(), vjps=(), op=""):
         self.graph = graph
@@ -199,6 +207,7 @@ class Variable:
         on_tape = self.id >= 0
         self.parents = tuple(parents) if on_tape else ()
         self.vjps = tuple(vjps) if on_tape else ()
+        self.reads = ()  # _op sets an on-tape node's
 
     @property
     def shape(self):
@@ -212,13 +221,27 @@ class Variable:
         return f"Variable(id={self.id}, op={self.op!r}, shape={self.shape})"
 
 
-def _op(graph: Graph, value, parents, vjps, op: str, saves=()) -> Variable:
-    """A new node; `saves` are the operands its vjps capture, marked saved
-    only when the node is on the tape (an off-tape node holds no vjp)."""
-    out = Variable(graph, value, parents, vjps, op=op)
+def _op(graph: Graph, value, parents, vjps, op: str, reads=None) -> Variable:
+    """A new node. `reads` holds, per edge, the operand its vjp reads; None
+    (the default) means that no edge reads one. An on-tape node keeps it,
+    as one None per edge where it is None, and marks its reads saved (an
+    off-tape node holds no vjp)."""
+    out = Variable(graph, value, parents, vjps, op)
     if out.id >= 0:
-        for v in saves:
-            v.saved = True
+        if reads is None:
+            out.reads = (None,) * len(out.parents)
+        else:
+            out.reads = reads
+            for v in reads:
+                v.saved = True
+    return out
+
+
+def _reads_itself(out: Variable, vjp) -> Variable:
+    """Gives an on-tape node its one vjp, which is written in the node's own
+    output (recip, sqrt, exp), and marks the node saved."""
+    if out.id >= 0:
+        out.vjps, out.reads, out.saved = (vjp,), (out,), True
     return out
 
 
@@ -258,14 +281,12 @@ def mul(a: Variable, b: Variable) -> Variable:
         vjps = (f, f)
     else:
         vjps = (lambda g: mul(g, b), lambda g: mul(g, a))
-    return _op(a.graph, a.value * b.value, (a, b), vjps, "mul", (a, b))
+    return _op(a.graph, a.value * b.value, (a, b), vjps, "mul", (b, a))
 
 
 def recip(a: Variable) -> Variable:
     out = _op(a.graph, elementwise("recip", a.value), (a,), (), "recip")
-    if out.id >= 0:  # the vjp captures out; an off-tape node holds no vjp
-        out.vjps, out.saved = (lambda g: neg(mul(g, mul(out, out))),), True
-    return out
+    return _reads_itself(out, lambda g: neg(mul(g, mul(out, out))))
 
 
 def cadd(a: Variable, c) -> Variable:
@@ -292,16 +313,12 @@ def cmul(a: Variable, c) -> Variable:
 
 def sqrt(a: Variable) -> Variable:
     out = _op(a.graph, elementwise("sqrt", a.value), (a,), (), "sqrt")
-    if out.id >= 0:
-        out.vjps, out.saved = (lambda g: mul(g, cmul(recip(out), 0.5)),), True
-    return out
+    return _reads_itself(out, lambda g: mul(g, cmul(recip(out), 0.5)))
 
 
 def exp(a: Variable) -> Variable:
     out = _op(a.graph, elementwise("exp", a.value), (a,), (), "exp")
-    if out.id >= 0:
-        out.vjps, out.saved = (lambda g: mul(g, out),), True
-    return out
+    return _reads_itself(out, lambda g: mul(g, out))
 
 
 def log(a: Variable) -> Variable:
@@ -319,7 +336,7 @@ def matmul(a: Variable, b: Variable) -> Variable:
     """Product of two matrices (tensor.matmul)."""
     return _op(a.graph, tensor.matmul(a.value, b.value), (a, b),
                (lambda g: matmul(g, transpose(b)), lambda g: matmul(transpose(a), g)), "matmul",
-               (a, b))
+               (b, a))
 
 
 def transpose(a: Variable) -> Variable:
@@ -373,7 +390,7 @@ def conv2d(x: Variable, w: Variable) -> Variable:
     value = tensor.conv2d(x.value, w.value)
     kh, kw = w.shape[2:]
     return _op(x.graph, value, (x, w),
-               (lambda g: conv_t(g, w), lambda g: conv_w(x, g, kh, kw)), "conv2d", (x, w))
+               (lambda g: conv_t(g, w), lambda g: conv_w(x, g, kh, kw)), "conv2d", (w, x))
 
 
 def conv_t(g: Variable, w: Variable) -> Variable:
@@ -383,7 +400,7 @@ def conv_t(g: Variable, w: Variable) -> Variable:
     value = tensor.conv_t(g.value, w.value)
     kh, kw = w.shape[2:]
     return _op(g.graph, value, (g, w),
-               (lambda z: conv2d(z, w), lambda z: conv_w(z, g, kh, kw)), "conv_t", (g, w))
+               (lambda z: conv2d(z, w), lambda z: conv_w(z, g, kh, kw)), "conv_t", (w, g))
 
 
 def conv_w(x: Variable, g: Variable, kh: int, kw: int) -> Variable:
@@ -392,7 +409,7 @@ def conv_w(x: Variable, g: Variable, kh: int, kw: int) -> Variable:
     for x and conv2d(x, k) for g. The node keeps x and g, never their
     patch matrix: the kernel unfolds x again on each call."""
     return _op(x.graph, tensor.conv_w(x.value, g.value, kh, kw), (x, g),
-               (lambda k: conv_t(g, k), lambda k: conv2d(x, k)), "conv_w", (x, g))
+               (lambda k: conv_t(g, k), lambda k: conv2d(x, k)), "conv_w", (g, x))
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +457,8 @@ def _sweep(graph: Graph, root: Variable, reach: set[int],
     own contribution (add, sub, cadd and an identity broadcast_to do), as
     it may sit in a second parent's slot. On a cnn-bn f32 step at batch
     100 that takes the recorded backward's tracemalloc peak from 96.1 MiB
-    to 52.6. A sweep that records nothing keeps none of this
+    to 52.6; what no curvature sweep reads goes after the sweep
+    (_drop_unread). A sweep that records nothing keeps none of this
     bookkeeping. The returned dict holds the adjoints of the parentless
     nodes (leaves and constants) only. The graph's recording flag is left
     as the sweep found it."""
@@ -487,17 +505,18 @@ def _sweep(graph: Graph, root: Variable, reach: set[int],
     return adj
 
 
-def _drop(graph: Graph, nodes, kept=frozenset()) -> None:
-    """Frees the value of every node in `nodes` that has parents, is not
-    saved and is not in `kept`, the ids of the values a caller still reads.
-    The value is rebound to a zero-strided view of the read-only NaN of its
-    dtype: it keeps the node's shape and dtype, owns no data, raises on a
-    write and turns any stray read into NaN. Being read-only, one such view
-    serves every freed value of its shape and dtype, and the graph keeps
-    it for the next call. A value of another dtype is kept."""
+def _drop(graph: Graph, nodes, kept=frozenset(), spare_saved=True) -> None:
+    """Frees the value of every node in `nodes` that has parents and is not
+    in `kept`, the ids of the values a caller still reads, nor, while
+    `spare_saved`, saved. The value is rebound to a zero-strided view of
+    the read-only NaN of its dtype: it keeps the node's shape and dtype,
+    owns no data, raises on a write and turns any stray read into NaN.
+    Being read-only, one such view serves every freed value of its shape
+    and dtype, and the graph keeps it for the next call. A value of another
+    dtype is kept."""
     views = graph.nan_views
     for v in nodes:
-        if v.saved or not v.parents or v.id in kept:
+        if not v.parents or v.id in kept or spare_saved and v.saved:
             continue
         a = v.value
         key = a.shape, a.dtype
@@ -509,6 +528,30 @@ def _drop(graph: Graph, nodes, kept=frozenset()) -> None:
             # buffer, offset and strides by position: keywords cost a third more
             view = views[key] = np.ndarray(a.shape, a.dtype, nan, 0, (0,) * a.ndim)
         v.value = view
+
+
+def _drop_unread(graph: Graph, loss: Variable, retain: Sequence[Variable]) -> None:
+    """Frees, once the retaining sweep is done, every value that no
+    curvature sweep can read. A sweep for a retained leaf p calls a node's
+    vjp only on an edge into p's descendant cone, so it reads only
+    reads[i] of such edges. One pass in id order from the first retained
+    leaf extends the retained leaves' cone over the forward and recorded
+    nodes, and collects those reads; every other value with parents goes,
+    saved or not, bar the loss and the retained gradients (the
+    to-be-recorded analysis of Hascoet, Naumann and Pascual, 2005, run
+    over the recorded backward)."""
+    cone = {v.id for v in retain}
+    live = {loss.id}
+    live.update(g.id for g in graph.retained.values() if g is not None)
+    for node in graph.nodes[min(cone) + 1:]:
+        reads = node.reads
+        for i, q in enumerate(node.parents):  # a zip costs a third more
+            if q.id in cone:
+                cone.add(node.id)
+                r = reads[i]
+                if r is not None:
+                    live.add(r.id)
+    _drop(graph, graph.nodes, live, False)  # saved or not
 
 
 def _cone(graph: Graph, sources: list[Variable], last: int) -> set[int]:
@@ -535,31 +578,40 @@ def backward(loss: Variable, retain: Sequence[Variable] = ()) -> dict[int, np.nd
     other adjoint can reach their gradients, so the rest (the other leaves'
     gradients, and the adjoints upstream of every retained leaf) are
     computed off the tape, bit for bit as they would be on it. With
-    `retain` empty nothing is recorded.
+    `retain` empty nothing is recorded. An entry of `retain` that is not a
+    leaf of the loss's graph raises MissingDifferentiableGraphError.
 
     No vjp reads an unsaved value, so the values of the unsaved nodes below
     the loss are freed before the sweep. The sweep frees the recorded
     adjoints and the operands of the recorded adds at their last use (see
-    _sweep), and the values of the other unsaved nodes it recorded, such
-    as the intermediates inside a vjp, bar the retained gradients, are
-    freed after it: a value read after backward() returns may be NaN."""
+    _sweep). With `retain` non-empty, every value that no curvature sweep
+    can read is freed after it (_drop_unread), saved or not, bar the loss
+    and the retained gradients: a value read after backward() returns may
+    be NaN. On a cnn-bn f32 step at batch 100 that takes the tape from 39.1
+    to 22.3 MiB, and the bn1 curvature sweeps' tracemalloc peak from 69.4
+    MiB to 52.6, this backward's own. With `retain` empty nothing runs
+    after the sweep, and every saved value keeps its data."""
     graph = loss.graph
     if loss.value.size != 1:
         raise NonScalarLossError(f"loss must be a scalar, got shape {loss.shape}")
     if loss.id < 0:
         raise MissingDifferentiableGraphError("loss was built while recording was off")
+    for v in retain:
+        if v.graph is not graph or v.op != "leaf" or v.id < 0:
+            raise MissingDifferentiableGraphError(
+                f"cannot retain {v!r}: only a leaf of the loss's graph has a gradient to retain"
+            )
     leaves = [node for node in graph.nodes if node.op == "leaf"]
     keep = _cone(graph, retain, loss.id)
     _drop(graph, graph.nodes[:loss.id])  # the forward is complete
-    recorded = len(graph.nodes)
     adj = _sweep(graph, loss, _cone(graph, leaves, loss.id), keep)
     grads: dict[int, np.ndarray] = {}
     for node in leaves:
         a = adj.get(node.id)
         grads[node.id] = np.zeros_like(node.value) if a is None else a.value.copy()
     graph.retained = {v.id: adj.get(v.id) for v in retain}
-    _drop(graph, graph.nodes[recorded:],
-          {g.id for g in graph.retained.values() if g is not None})
+    if retain:
+        _drop_unread(graph, loss, retain)
     return grads
 
 

@@ -103,10 +103,13 @@ def _cmd_verify(args) -> int:
     # terminal-BN blocks are exactly quadratic in gamma/beta, so a large FD
     # step is exact and beats roundoff; deep blocks use the default step
     h = 0.25 if args.model == "bn-terminal" else oracle.FD_STEP
+    # one tape for every audited parameter: each vector has the bits of a
+    # tape that retains its parameter alone
+    extracted = oracle.tape_hdiag(model, x, tuple(one_d), loss, labels)
     reports = []
     passed = True
     for name in one_d:
-        rep = oracle.diagonality_report(model, x, name, h, loss, labels)
+        rep = oracle.diagonality_report(model, x, name, h, loss, labels, extracted[name])
         ok = rep.extracted_vs_rowsum_relerr <= ROWSUM_TOL
         entry = dataclasses.asdict(rep)
         entry["rowsum_ok"] = ok

@@ -188,12 +188,17 @@ def tape_gradients(model: nn.Model, x: np.ndarray, loss: str = "sos",
         return grads
 
 
-def tape_hdiag(model: nn.Model, x: np.ndarray, name: str, loss: str = "sos",
-               labels=None) -> np.ndarray:
-    """Channelwise curvature of one 1-D parameter via the double backward."""
-    with preserve_bn_stats(model), nn.taped_batch(model, x, labels, loss, (name,)) as (
+def tape_hdiag(model: nn.Model, x: np.ndarray, name: str | tuple[str, ...], loss: str = "sos",
+               labels=None) -> np.ndarray | dict[str, np.ndarray]:
+    """Channelwise curvature via the double backward, leaving the running
+    statistics untouched: of the 1-D parameter `name`, or, for a tuple of
+    names, of each of them by name, from one nn.taped_batch that retains
+    them all. Each vector has the bits that a tape retaining its parameter
+    alone gives."""
+    names = (name,) if isinstance(name, str) else name
+    with preserve_bn_stats(model), nn.taped_batch(model, x, labels, loss, names) as (
             _, _, _, hdiags):
-        return hdiags[name]
+        return hdiags[name] if isinstance(name, str) else hdiags
 
 
 def gradcheck(model: nn.Model, x: np.ndarray, loss: str = "sos",
@@ -281,14 +286,17 @@ class DiagonalityReport:
 
 def diagonality_report(model: nn.Model, x: np.ndarray, name: str,
                        h: float = FD_STEP, loss: str = "sos",
-                       labels=None) -> DiagonalityReport:
+                       labels=None, extracted=None) -> DiagonalityReport:
     """Quantifies how diagonal a 1-D parameter's true Hessian block is, and
     how closely the tape extraction matches the block's row sums. The
     extraction always equals the row sums; it equals the diagonal only when
-    the off-diagonal mass vanishes (terminal-layer configurations)."""
+    the off-diagonal mass vanishes (terminal-layer configurations).
+    `extracted` is the tape's curvature of `name` where the caller has it
+    already; tape_hdiag computes it otherwise."""
     lossfn = model_lossfn(model, x, loss, labels)
     block = fd_hessian_block_1d(lossfn, model.values(), name, h)
-    extracted = tape_hdiag(model, x, name, loss, labels)
+    if extracted is None:
+        extracted = tape_hdiag(model, x, name, loss, labels)
     diag = np.diag(block)
     off = block - np.diag(diag)
     rowsums = block.sum(axis=1)

@@ -1,6 +1,7 @@
 """Tape gradients and second-sweep curvature against finite differences
 and closed forms."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -514,10 +515,28 @@ class TestSweepFreeing:
         assert peak / activation <= 19
 
 
+def captured_by(f):
+    """The Variables that one vjp holds in its closure."""
+    return {c.cell_contents for c in (f.__closure__ or ())
+            if isinstance(c.cell_contents, ad.Variable)}
+
+
 def captured(graph):
     """The Variables that the vjps of the tape's nodes hold in their closures."""
-    return {c.cell_contents for v in graph.nodes for f in v.vjps
-            for c in (f.__closure__ or ()) if isinstance(c.cell_contents, ad.Variable)}
+    return {v for node in graph.nodes for f in node.vjps for v in captured_by(f)}
+
+
+def read_by_the_sweeps(graph, retain):
+    """The Variables that the vjps of the edges into the retained leaves'
+    descendant cone hold in their closures: all a curvature sweep can read.
+    The cone is found from the parent edges alone."""
+    cone, read = set(retain), set()
+    for node in graph.nodes:
+        for p, f in zip(node.parents, node.vjps):
+            if p in cone:
+                cone.add(node)
+                read |= captured_by(f)
+    return read
 
 
 def owning_base(a):
@@ -568,9 +587,15 @@ class TestSavedValues:
             assert out.op == op
             saved = {name for name, v in (("a", a), ("b", b), ("out", out)) if v.saved}
             assert saved == (expected if recording else set()), recording
+            # each edge names the one operand its vjp reads
+            assert len(out.reads) == len(out.vjps) == (len(out.parents) if recording else 0)
+            for f, r in zip(out.vjps, out.reads):
+                assert captured_by(f) == ({r} if r is not None else set())
 
     @pytest.mark.parametrize("model_name", ["cnn-bn", "cnn-wn"])
     def test_the_tape_keeps_only_what_a_vjp_reads(self, model_name, monkeypatch):
+        # after a retaining backward only the values that an edge into the
+        # retained cone reads stay, and the loss and the retained gradients
         built = {}
         init = ad.Variable.__init__
 
@@ -580,9 +605,10 @@ class TestSavedValues:
 
         monkeypatch.setattr(ad.Variable, "__init__", spy)
         model, graph, env, loss, _ = small_cnn_tape(model_name)
-        reads = captured(graph)
-        assert {v for v in graph.nodes if v.saved} == reads
-        kept = reads | {loss} | set(graph.retained.values())
+        assert {v for v in graph.nodes if v.saved} == captured(graph)
+        read = read_by_the_sweeps(graph, channelwise(model, env))
+        assert read < captured(graph)
+        kept = read | {loss} | set(graph.retained.values())
         dropped = 0
         for v in graph.nodes:
             assert (v.shape, v.dtype) == built[v]
@@ -601,6 +627,77 @@ class TestSavedValues:
         for p in model.parameters():
             if p.kind == ad.CHANNELWISE_1D:
                 assert np.isfinite(ad.hessian_diag_1d(loss, env[p.name])).all()
+
+
+def small_loss(model_name, dtype):
+    """small_cnn_loss's model, env and loss for a CNN; for mlp-bn, the same
+    on an 8-row batch of 6 features."""
+    if model_name != "mlp-bn":
+        model, _, env, loss, _ = small_cnn_loss(model_name, dtype)
+        return model, env, loss
+    model = nn.build_model(model_name, Rng(0), in_shape=(6,), n_classes=3, dtype=dtype)
+    graph = ad.Graph()
+    env = model.bind(graph)
+    y = model.forward_v(graph.constant(Rng(1).normal((8, 6)).astype(dtype)), env)
+    return model, env, nn.softmax_cross_entropy(y, np.array([0, 1, 2, 0, 1, 2, 0, 1]))
+
+
+class TestTapeAfterTheBackward:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("model_name", ["cnn-bn", "cnn-wn", "mlp-bn"])
+    def test_freeing_the_unread_values_keeps_every_bit(self, model_name, dtype, monkeypatch):
+        runs = []
+        for prune in (True, False):
+            if not prune:
+                monkeypatch.setattr(ad, "_drop_unread", lambda *args: None)
+            model, env, loss = small_loss(model_name, dtype)
+            runs.append(grads_and_curvature(loss.graph, loss, channelwise(model, env)))
+        lean, full = runs
+        assert len(lean) == len(env) + len(channelwise(model, env)) and lean == full
+
+    @pytest.mark.parametrize("model_name", ["cnn-bn", "cnn-wn", "mlp-bn"])
+    def test_without_retain_every_saved_value_keeps_its_data(self, model_name):
+        # sgdm's backward: no curvature sweep follows, and nothing runs
+        # after the sweep
+        _, env, loss = small_loss(model_name, np.float32)
+        graph = loss.graph
+        ad.backward(loss)
+        saved = [v for v in graph.nodes if v.saved]
+        assert saved and len(graph.nodes) == loss.id + 1
+        for v in saved:
+            assert owning_base(v.value).flags.owndata and np.isfinite(v.value).all(), v
+
+    def test_the_retaining_backward_sets_the_step_peak(self, monkeypatch):
+        # cnn-bn f32 at batch 100, by tracemalloc: once the values no sweep
+        # reads are gone, the curvature sweeps over the 22.3 MiB tape peak at
+        # the recorded backward's 52.6 MiB; over the 39.1 MiB tape that
+        # kept every saved value they peaked at 69.4
+        model = nn.build_model("cnn-bn", Rng(0), in_shape=(1, 28, 28), n_classes=10,
+                               dtype=np.float32)
+        x = Rng(1).normal((100, 1, 28, 28)).astype(np.float32)
+        labels = Rng(2).integers(0, 10, (100,))
+        one_d = [p.name for p in model.parameters() if p.kind == ad.CHANNELWISE_1D]
+        peaks = []
+        backward = ad.backward
+
+        def spy(loss, *args, **kwargs):
+            peaks.append(tracemalloc.get_traced_memory()[1])  # the forward's
+            tracemalloc.reset_peak()
+            grads = backward(loss, *args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])  # the backward's own
+            tracemalloc.reset_peak()
+            return grads
+
+        monkeypatch.setattr(ad, "backward", spy)
+        tracemalloc.start()
+        try:
+            with nn.taped_batch(model, x, labels, "ce", one_d) as (_, _, _, hdiags):
+                peaks.append(tracemalloc.get_traced_memory()[1])  # the sweeps'
+        finally:
+            tracemalloc.stop()
+        assert len(hdiags) == 4 and len(peaks) == 3
+        forward, recorded, sweeps = peaks
+        assert max(forward, sweeps) <= recorded + 2**20, [p / 2**20 for p in peaks]
 
 
 class TestEdges:
@@ -723,10 +820,11 @@ class TestRetainedBackward:
 
     def test_retained_tape_is_bounded(self):
         # distinct base arrays, so a view costs nothing beyond its base. Only
-        # the values a vjp reads stay: 9.5 activations on cnn-bn and 5.5 on
-        # cnn-wn, where keeping every value held 23.6 and 11.1
+        # the values a curvature sweep reads stay: 6.0 activations on cnn-bn
+        # and 3.4 on cnn-wn, where keeping those any vjp reads held 9.5 and
+        # 5.5, and keeping every value 23.6 and 11.1
         activation = np.zeros((4, 16, 6, 6), dtype=np.float32).nbytes
-        for model_name, bound in (("cnn-bn", 12), ("cnn-wn", 7)):
+        for model_name, bound in (("cnn-bn", 7), ("cnn-wn", 4)):
             _, graph, _, _, _ = small_cnn_tape(model_name)
             bases = {id(a): a.nbytes for a in (owning_base(v.value) for v in graph.nodes)}
             assert sum(bases.values()) / activation <= bound, model_name
@@ -802,6 +900,28 @@ class TestErrors:
         ad.backward(loss, retain=[leaf])
         with pytest.raises(ShapeMismatchError, match=r"1-D.*\(2, 2\)"):
             ad.hessian_diag_1d(loss, leaf)
+
+    @pytest.mark.parametrize("entry", ["square", "constant", "other graph", "off tape"])
+    def test_retain_takes_only_leaves_of_the_loss_graph(self, entry):
+        # a non-leaf gets no adjoint back from the sweep, so retaining one
+        # would give zero curvature with no error: y = x*x has d2L/dy2 = 2
+        graph = ad.Graph()
+        x = graph.variable(np.array([1.0, 2.0]))
+        y = ad.mul(x, x)
+        loss = ad.sum_all(ad.mul(y, y))
+        if entry == "square":
+            v = y
+        elif entry == "constant":
+            v = graph.constant(np.array([1.0, 2.0]))
+        elif entry == "other graph":
+            v = ad.Graph().variable(np.array([1.0, 2.0]))
+        else:
+            graph.recording = False
+            v = graph.variable(np.array([1.0, 2.0]))
+            graph.recording = True
+        with pytest.raises(ad.MissingDifferentiableGraphError, match=re.escape(repr(v))):
+            ad.backward(loss, retain=[x, v])
+        assert graph.retained == {}
 
     def test_loss_built_off_tape(self):
         graph = ad.Graph()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sgdph
-from sgdph import oracle
+from sgdph import autodiff as ad, oracle
 from sgdph.cli import cli
 from sgdph.data import write_idx
 
@@ -194,6 +194,27 @@ class TestVerify:
         assert cli(["verify", "--param", "bn1.gamma"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert [r["parameter"] for r in doc["reports"]] == ["bn1.gamma"]
+
+    def test_one_tape_serves_every_audited_parameter(self, tmp_path, monkeypatch):
+        # the audit extracts every parameter's curvature from one tape, and
+        # each report entry is the one a single-parameter audit writes
+        released = []
+        release = ad.Graph.release
+
+        def spy(graph):
+            released.append(graph)
+            release(graph)
+
+        monkeypatch.setattr(ad.Graph, "release", spy)
+        args = ["verify", "--model", "mlp-bn", "--seed", "7"]
+        assert cli([*args, "--out", str(tmp_path / "all.json")]) == 0
+        assert len(released) == 1
+        entries = json.loads((tmp_path / "all.json").read_text())["reports"]
+        for entry in entries:
+            out = tmp_path / f"{entry['parameter']}.json"
+            assert cli([*args, "--param", entry["parameter"], "--out", str(out)]) == 0
+            assert json.loads(out.read_text())["reports"] == [entry]
+        assert len(entries) == 2 and len(released) == 3
 
     def test_unknown_param_fails(self, capsys):
         assert cli(["verify", "--param", "bn9.gamma"]) == 1
