@@ -36,24 +36,19 @@ adjoint conv_w it forms a family closed under differentiation: each of the
 three has its vjps in the other two and itself, so a recorded backward
 through a convolution holds no patch matrix and stays exact to any order.
 
-A node keeps its value only while a vjp that can still fire reads it.
-Each on-tape edge names in `reads` the one operand its vjp reads: the
-other operand for mul, matmul and the three convolutions, the input for
-log, and the node's own output for recip, sqrt and exp. The other ops read
-a bool mask (relu), a constant (cmul) or shapes only. Every operand some
-edge reads is marked `saved`. Once the forward is complete, backward()
-frees every unsaved value below the loss. A retaining sweep frees each
-unsaved adjoint it records, and both operands of each recorded add, once
-the node that used them last has fired. A curvature sweep crosses only
-the edges into the retained leaves' descendant cone, so backward() then
-frees every value that no such edge reads, saved or not. The loss, the
-leaves, the constants and the retained gradients keep theirs. On a cnn-bn
-f32 step at batch 100 the tape then holds 22.3 MiB after the backward,
-counted by distinct base arrays: 39.1 when every saved value stayed, and
-106.1 when every value did. By tracemalloc the step then peaks at 52.6
-MiB, in the recorded backward (96.1 when its values lived to the end of
-the sweep) and in the bn1 curvature sweeps alike; over the 39.1 MiB tape
-those sweeps peaked at 69.4. The forward peaks at 52.1.
+A node keeps its value only while a sweep still to run can read it, and
+a sweep reads a value only through an edge it crosses. Each on-tape edge
+names in `reads` the one operand its vjp reads: the other operand for
+mul, matmul and the three convolutions, the input for log, and the node's
+own output for recip, sqrt and exp. The other ops read a bool mask
+(relu), a constant (cmul) or shapes only. So once the forward is
+complete, backward() frees every value below the loss that no edge reads.
+A curvature sweep crosses only the edges into the retained leaves'
+descendant cone, so the values those edges read are `live`, and every
+other value is freed once the retaining sweep has no use left for it
+(the to-be-recorded analysis of Hascoet, Naumann and Pascual, 2005, run
+over the recorded backward). The loss, the leaves, the constants and the
+retained gradients keep theirs.
 
 Tapes are define-by-run and single-use: build a fresh Graph per step.
 """
@@ -140,35 +135,18 @@ class Graph:
 def keep_freed_memory() -> None:
     """Lets glibc keep freed blocks in the heap for the next step to reuse.
 
-    A cnn-bn f32 batch-100 step builds and frees about 106 MiB of
-    activation-sized tape arrays (backward() frees 67 MiB of them as soon
-    as no vjp can read them, and 17 MiB more once no curvature sweep can),
-    and each curvature sweep up to 30 MiB more of transient adjoints; by
-    tracemalloc the step peaks at 53 MiB, in the recorded backward and the
-    bn1 sweeps alike. When those arrays come from mmap, or are trimmed off
-    the top of the heap after Graph.release(), every step's arrays are
-    page-faulted and zeroed by the kernel again.
-    Measured on cnn-bn f32 at batch 100 with a fixed 1 MiB mmap
-    threshold, over the 100-step criterion 9 run: about 123k minor
-    faults and 0.57 s of system CPU a step, 31% of the run's wall time,
-    and no lower peak RSS. glibc's default dynamic
-    policy still trims the heap after each release, so both thresholds
-    are set (setting either one also turns the dynamic policy off): the
-    mmap threshold to 32 MiB, the 64-bit maximum that mallopt(3)
-    documents and above every array of a step in f32 or f64: the largest
-    tape array is a 4.8 MiB f32 activation, and the convolution kernels
-    unfold at most 2 MiB of patches at a time, where a whole batch's patch
-    matrix of conv2's input (22.6 MB in f32, 45 MB in f64) went past the
-    threshold in f64. The trim threshold is set to never. A repeated step
-    then faults almost no pages, in f32 and f64 alike. The cost is that the
-    process keeps its heap high-water mark (a 64.5 MiB arena by mallinfo2
-    after the criterion 9 cnn-bn sgdph run, 83.8 MiB while the tape kept
-    every value a vjp reads) after train() returns; a malloc_trim there would only re-fault it on the first step
-    of the next train(). The oracle releases each tape it builds as well,
-    and with the heap trimmed, one desk-scale tape_hdiag call on cnn-bn
-    re-faulted about 400 pages. No-op off glibc. nn.taped_batch calls it
-    before every model tape; the policy is process-wide, so only the
-    first call acts."""
+    A step builds and frees many activation-sized tape arrays. When they
+    come from mmap, or are trimmed off the top of the heap after
+    Graph.release(), the kernel page-faults and zeroes every step's arrays
+    again. So the mmap threshold is set to 32 MiB, the 64-bit maximum that
+    mallopt(3) documents and above every array of a step in f32 or f64 (the
+    convolution kernels unfold at most 2 MiB of patches at a time), and the
+    trim threshold to never; setting either also turns glibc's dynamic
+    policy off. The cost is that the process keeps its heap high-water mark
+    after train() returns: a malloc_trim there would only re-fault it on
+    the first step of the next train(). README gives the measured figures.
+    No-op off glibc. nn.taped_batch calls it before every model tape; the
+    policy is process-wide, so only the first call acts."""
     import ctypes
 
     try:
@@ -189,20 +167,15 @@ class Variable:
     once: that is how mul(a, a) builds g*a a single time for both.
     `reads` is aligned with them too: reads[i] is the one Variable whose
     value vjps[i] reads, or None where it reads only shapes, a mask or a
-    constant.
+    constant. backward() frees the value of a node that no sweep still to
+    run reads (see _drop): it keeps its shape and dtype but reads as NaN."""
 
-    `saved` is set when an on-tape edge reads the node. backward() frees
-    the value of a node with parents that is not saved (see _drop), and
-    after a retaining sweep that of every node that no curvature sweep
-    reads: it keeps its shape and dtype but reads as NaN."""
-
-    __slots__ = ("graph", "id", "value", "parents", "vjps", "reads", "op", "saved")
+    __slots__ = ("graph", "id", "value", "parents", "vjps", "reads", "op")
 
     def __init__(self, graph, value, parents=(), vjps=(), op=""):
         self.graph = graph
         self.value = np.asarray(value)
         self.op = op
-        self.saved = False
         self.id = graph._append(self)
         on_tape = self.id >= 0
         self.parents = tuple(parents) if on_tape else ()
@@ -224,24 +197,18 @@ class Variable:
 def _op(graph: Graph, value, parents, vjps, op: str, reads=None) -> Variable:
     """A new node. `reads` holds, per edge, the operand its vjp reads; None
     (the default) means that no edge reads one. An on-tape node keeps it,
-    as one None per edge where it is None, and marks its reads saved (an
-    off-tape node holds no vjp)."""
+    as one None per edge where it is None (an off-tape node holds no vjp)."""
     out = Variable(graph, value, parents, vjps, op)
     if out.id >= 0:
-        if reads is None:
-            out.reads = (None,) * len(out.parents)
-        else:
-            out.reads = reads
-            for v in reads:
-                v.saved = True
+        out.reads = (None,) * len(out.parents) if reads is None else reads
     return out
 
 
 def _reads_itself(out: Variable, vjp) -> Variable:
     """Gives an on-tape node its one vjp, which is written in the node's own
-    output (recip, sqrt, exp), and marks the node saved."""
+    output (recip, sqrt, exp), and the one read of that output."""
     if out.id >= 0:
-        out.vjps, out.reads, out.saved = (vjp,), (out,), True
+        out.vjps, out.reads = (vjp,), (out,)
     return out
 
 
@@ -424,7 +391,7 @@ def _iadd(prev: Variable, c: Variable) -> Variable:
 
 
 def _sweep(graph: Graph, root: Variable, reach: set[int],
-           keep: set[int] = frozenset()) -> dict[int, Variable]:
+           keep: set[int] = frozenset(), live: set[int] | None = None) -> dict[int, Variable]:
     """Reverse accumulation of d(sum root)/d(node) from a ones seed at root.
     Visits recorded nodes in strictly decreasing id order, so every tape
     edge receives at most one adjoint contribution. The sweep walks a
@@ -449,74 +416,88 @@ def _sweep(graph: Graph, root: Variable, reach: set[int],
     use. An off-tape parent's third and later contributions are summed in
     place into the array the off-tape add of its second one built (parents
     tracked by id); a first contribution may be a view of another array or
-    the adjoint itself, so it is never written into. A recorded value
-    lives on the tape, so once all of a node's edges have fired, _drop
-    frees its adjoint g and the two operands of every recorded add it
-    built: not before, since both edges of mul(a, a) read one product. A
-    saved value is kept, and so is an adjoint that a vjp handed on as its
-    own contribution (add, sub, cadd and an identity broadcast_to do), as
-    it may sit in a second parent's slot. On a cnn-bn f32 step at batch
-    100 that takes the recorded backward's tracemalloc peak from 96.1 MiB
-    to 52.6; what no curvature sweep reads goes after the sweep
-    (_drop_unread). A sweep that records nothing keeps none of this
-    bookkeeping. The returned dict holds the adjoints of the parentless
-    nodes (leaves and constants) only. The graph's recording flag is left
-    as the sweep found it."""
+    the adjoint itself, so it is never written into.
+
+    A sweep that records fills in `live`: the ids of the values read by
+    edges into `keep`, the only edges a curvature sweep crosses. It adds
+    each such edge's read as it crosses the edge, and after each step it
+    extends `keep` over the nodes the step appended and adds the reads of
+    their edges into `keep`. Once a step of a node in `keep` is done, its
+    adjoint, the operands of its recorded adds and the nodes it appended
+    are freed (see _drop), unless a value is live or an adjoint slot still
+    holds it, as one does where a vjp hands its adjoint on as its
+    contribution (add, sub, cadd and an identity broadcast_to). Not
+    before: both edges of mul(a, a) read one product. An adjoint handed
+    on into a parent outside `keep` goes into its slot as an off-tape
+    alias of the same array, so that no recorded value outlives its step
+    there. The returned dict holds the adjoints of the parentless nodes
+    (leaves and constants) only. The graph's recording flag is left as
+    the sweep found it."""
     recording = graph.recording
     graph.recording = root.id in keep
+    nodes = graph.nodes
     try:
         adj = {root.id: graph.constant(np.ones_like(root.value))}
+        slots = adj.values()  # a view: what the adjoint slots hold now
         summed = set()  # off-tape parents whose adjoint an add of this sweep built
-        handed = set()  # recorded adjoints a vjp returned as they were
         for nid in range(root.id, -1, -1):
             g = adj.get(nid)
             if g is None:
                 continue
-            node = graph.nodes[nid]
+            node = nodes[nid]
             if not node.parents:
                 continue
             del adj[nid]
-            spent = [g] if nid in keep else None
+            recorded = nid in keep
+            if recorded:
+                spent, start = [g], len(nodes)
             last = None
-            for p, f in zip(node.parents, node.vjps):
+            for p, f, r in zip(node.parents, node.vjps, node.reads):
                 pid = p.id
                 if pid not in reach:
                     continue
                 on_tape = graph.recording = pid in keep
+                if on_tape and r is not None:
+                    live.add(r.id)
                 if f is not last:  # mul(a, a): both edges share one product
                     c, last = f(g), f
-                    if c is g and spent:
-                        handed.add(g.id)
                 prev = adj.get(pid)
                 if prev is None:
                     adj[pid] = c
+                    if c is g and recorded and not on_tape:  # handed out of `keep`:
+                        adj[pid] = graph.constant(g.value)  # an off-tape alias
                 elif on_tape:
                     adj[pid] = add(prev, c)
-                    spent += (prev, c)
+                    spent.append(prev)
                 elif pid in summed:
                     adj[pid] = _iadd(prev, c)
                 else:
                     adj[pid] = add(prev, c)
                     summed.add(pid)
-            if spent:
-                _drop(graph, spent, handed)
+            if recorded:
+                built = nodes[start:]
+                for v in built:
+                    for q, r in zip(v.parents, v.reads):
+                        if q.id in keep:
+                            keep.add(v.id)
+                            if r is not None:
+                                live.add(r.id)
+                _drop(graph, [v for v in spent + built if v.id not in live and v not in slots])
     finally:
         graph.recording = recording
     return adj
 
 
-def _drop(graph: Graph, nodes, kept=frozenset(), spare_saved=True) -> None:
-    """Frees the value of every node in `nodes` that has parents and is not
-    in `kept`, the ids of the values a caller still reads, nor, while
-    `spare_saved`, saved. The value is rebound to a zero-strided view of
-    the read-only NaN of its dtype: it keeps the node's shape and dtype,
-    owns no data, raises on a write and turns any stray read into NaN.
-    Being read-only, one such view serves every freed value of its shape
-    and dtype, and the graph keeps it for the next call. A value of another
-    dtype is kept."""
+def _drop(graph: Graph, nodes) -> None:
+    """Frees the value of every node in `nodes` that has parents. The value
+    is rebound to a zero-strided view of the read-only NaN of its dtype: it
+    keeps the node's shape and dtype, owns no data, raises on a write and
+    turns any stray read into NaN. Being read-only, one such view serves
+    every freed value of its shape and dtype, and the graph keeps it for
+    the next call. A value of another dtype is kept."""
     views = graph.nan_views
     for v in nodes:
-        if not v.parents or v.id in kept or spare_saved and v.saved:
+        if not v.parents:
             continue
         a = v.value
         key = a.shape, a.dtype
@@ -528,30 +509,6 @@ def _drop(graph: Graph, nodes, kept=frozenset(), spare_saved=True) -> None:
             # buffer, offset and strides by position: keywords cost a third more
             view = views[key] = np.ndarray(a.shape, a.dtype, nan, 0, (0,) * a.ndim)
         v.value = view
-
-
-def _drop_unread(graph: Graph, loss: Variable, retain: Sequence[Variable]) -> None:
-    """Frees, once the retaining sweep is done, every value that no
-    curvature sweep can read. A sweep for a retained leaf p calls a node's
-    vjp only on an edge into p's descendant cone, so it reads only
-    reads[i] of such edges. One pass in id order from the first retained
-    leaf extends the retained leaves' cone over the forward and recorded
-    nodes, and collects those reads; every other value with parents goes,
-    saved or not, bar the loss and the retained gradients (the
-    to-be-recorded analysis of Hascoet, Naumann and Pascual, 2005, run
-    over the recorded backward)."""
-    cone = {v.id for v in retain}
-    live = {loss.id}
-    live.update(g.id for g in graph.retained.values() if g is not None)
-    for node in graph.nodes[min(cone) + 1:]:
-        reads = node.reads
-        for i, q in enumerate(node.parents):  # a zip costs a third more
-            if q.id in cone:
-                cone.add(node.id)
-                r = reads[i]
-                if r is not None:
-                    live.add(r.id)
-    _drop(graph, graph.nodes, live, False)  # saved or not
 
 
 def _cone(graph: Graph, sources: list[Variable], last: int) -> set[int]:
@@ -581,16 +538,13 @@ def backward(loss: Variable, retain: Sequence[Variable] = ()) -> dict[int, np.nd
     `retain` empty nothing is recorded. An entry of `retain` that is not a
     leaf of the loss's graph raises MissingDifferentiableGraphError.
 
-    No vjp reads an unsaved value, so the values of the unsaved nodes below
-    the loss are freed before the sweep. The sweep frees the recorded
-    adjoints and the operands of the recorded adds at their last use (see
-    _sweep). With `retain` non-empty, every value that no curvature sweep
-    can read is freed after it (_drop_unread), saved or not, bar the loss
-    and the retained gradients: a value read after backward() returns may
-    be NaN. On a cnn-bn f32 step at batch 100 that takes the tape from 39.1
-    to 22.3 MiB, and the bn1 curvature sweeps' tracemalloc peak from 69.4
-    MiB to 52.6, this backward's own. With `retain` empty nothing runs
-    after the sweep, and every saved value keeps its data."""
+    A sweep reads only the values that an edge reads, so once the forward
+    is complete every other value below the loss is freed. With `retain`
+    non-empty, the sweep frees what it records as it goes (see _sweep),
+    and after it every forward value that is not live goes, bar the loss:
+    a value read after backward() returns may be NaN. With `retain` empty
+    only the first drop runs, and every value an edge reads keeps its
+    data."""
     graph = loss.graph
     if loss.value.size != 1:
         raise NonScalarLossError(f"loss must be a scalar, got shape {loss.shape}")
@@ -603,15 +557,17 @@ def backward(loss: Variable, retain: Sequence[Variable] = ()) -> dict[int, np.nd
             )
     leaves = [node for node in graph.nodes if node.op == "leaf"]
     keep = _cone(graph, retain, loss.id)
-    _drop(graph, graph.nodes[:loss.id])  # the forward is complete
-    adj = _sweep(graph, loss, _cone(graph, leaves, loss.id), keep)
+    read = {r.id for v in graph.nodes for r in v.reads if r is not None}
+    _drop(graph, [v for v in graph.nodes[:loss.id] if v.id not in read])  # the forward is done
+    live = set()  # what a curvature sweep reads: _sweep fills it in
+    adj = _sweep(graph, loss, _cone(graph, leaves, loss.id), keep, live)
     grads: dict[int, np.ndarray] = {}
     for node in leaves:
         a = adj.get(node.id)
         grads[node.id] = np.zeros_like(node.value) if a is None else a.value.copy()
     graph.retained = {v.id: adj.get(v.id) for v in retain}
-    if retain:
-        _drop_unread(graph, loss, retain)
+    if retain:  # no curvature sweep reads the rest
+        _drop(graph, [v for v in graph.nodes[:loss.id] if v.id in read and v.id not in live])
     return grads
 
 

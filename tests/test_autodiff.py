@@ -515,6 +515,109 @@ class TestSweepFreeing:
         assert peak / activation <= 19
 
 
+# the random tapes below: activations of [N,C,H,W] = [2,2,5,5], 3x3 kernels
+# and two 1-D leaves of length C
+ACT, KERNEL = (2, 2, 5, 5), (2, 2, 3, 3)
+
+
+def per_channel(v):
+    """A 1-D leaf or channel mean broadcast over an activation, as BatchNorm
+    does it."""
+    return ad.broadcast_to(ad.reshape(v, (1, ACT[1], 1, 1)), ACT)
+
+
+def as_square(a):
+    return ad.reshape(a, (10, 10))
+
+
+# op -> its builder over two activations a and b, a kernel k and the 1-D
+# leaves (gamma, beta); conv_w builds a kernel, every other op an activation
+RANDOM_OPS = {
+    "add": lambda a, b, k, gb: ad.add(a, b),
+    "sub": lambda a, b, k, gb: ad.sub(a, b),
+    "mul": lambda a, b, k, gb: ad.mul(a, b),
+    "square": lambda a, b, k, gb: ad.mul(a, a),
+    "exp": lambda a, b, k, gb: ad.exp(a),
+    "sqrt": lambda a, b, k, gb: ad.sqrt(ad.cadd(a, 1.5)),
+    "recip": lambda a, b, k, gb: ad.recip(ad.cadd(a, 1.5)),
+    "log": lambda a, b, k, gb: ad.log(ad.cadd(a, 1.5)),
+    "relu": lambda a, b, k, gb: ad.relu(a),
+    "neg": lambda a, b, k, gb: ad.neg(a),
+    "cmul": lambda a, b, k, gb: ad.cmul(a, 0.7),
+    "identity": lambda a, b, k, gb: ad.broadcast_to(a, ACT),
+    "transpose": lambda a, b, k, gb: ad.reshape(ad.transpose(as_square(a)), ACT),
+    "matmul": lambda a, b, k, gb: ad.reshape(ad.matmul(as_square(a), as_square(b)), ACT),
+    "mean": lambda a, b, k, gb: ad.sub(a, per_channel(ad.mean_axes(a, (0, 2, 3)))),
+    "batchnorm": lambda a, b, k, gb: ad.add(ad.mul(a, per_channel(gb[0])), per_channel(gb[1])),
+    "conv2d": lambda a, b, k, gb: ad.conv2d(a, k),
+    "conv_t": lambda a, b, k, gb: ad.conv_t(a, k),
+    "conv_w": lambda a, b, k, gb: ad.conv_w(a, b, 3, 3),
+}
+
+
+def bounded(v):
+    """v, scaled into [-1, 1] where it leaves it: exp, matmul and the three
+    convolutions of a random tape then cannot overflow."""
+    top = float(np.abs(v.value).max())
+    return ad.cmul(v, 1 / top) if top > 1 else v
+
+
+def random_tape(program, seed, dtype):
+    """A tape built by `program`, a list of (op, i, j): op applied to the
+    activations i and j and the kernel j, each index taken modulo its pool,
+    its bounded result appended to its pool. The activations start from a
+    dense leaf x through the BatchNorm op, a constant and x itself, which
+    lies outside the 1-D leaves' cone, the kernels from a leaf; the loss
+    sums the last activation times the first. Returns the graph, the loss
+    and the two 1-D leaves."""
+    graph = ad.Graph()
+    rng = Rng(seed)
+    x = graph.variable(rng.uniform(-1, 1, ACT, dtype))
+    gamma = graph.variable(rng.uniform(0.5, 1.5, (ACT[1],), dtype))
+    beta = graph.variable(rng.uniform(-0.5, 0.5, (ACT[1],), dtype))
+    kernels = [graph.variable(rng.uniform(-1, 1, KERNEL, dtype))]
+    acts = [bounded(RANDOM_OPS["batchnorm"](x, x, None, (gamma, beta))),
+            graph.constant(rng.uniform(-1, 1, ACT, dtype)), x]
+    for op, i, j in program:
+        v = RANDOM_OPS[op](acts[i % len(acts)], acts[j % len(acts)], kernels[j % len(kernels)],
+                           (gamma, beta))
+        (kernels if op == "conv_w" else acts).append(bounded(v))
+    loss = ad.sum_all(ad.mul(acts[-1], acts[0]))
+    return graph, loss, [gamma, beta]
+
+
+class TestRandomTapes:
+    @given(st.lists(st.tuples(st.sampled_from(sorted(RANDOM_OPS)),
+                              st.integers(0, 63), st.integers(0, 63)), min_size=1, max_size=16),
+           st.integers(0, 2**32 - 1), st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=150, deadline=None)
+    def test_freeing_keeps_every_bit(self, program, seed, dtype):
+        # every gradient and both curvature vectors, freed as backward() frees
+        # them and with nothing freed: a freed value read by any sweep would
+        # show as NaN or as a changed bit
+        lean = grads_and_curvature(*random_tape(program, seed, dtype))
+        with pytest.MonkeyPatch.context() as mp:
+            keep_everything(mp)
+            assert lean == grads_and_curvature(*random_tape(program, seed, dtype))
+
+    @given(st.lists(st.tuples(st.sampled_from(sorted(RANDOM_OPS)),
+                              st.integers(0, 63), st.integers(0, 63)), min_size=1, max_size=16),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_curvature_does_not_depend_on_what_else_is_retained(self, program, seed):
+        # retaining the dense leaves too records every adjoint, so no adjoint
+        # is handed out of the recorded cone; every gradient and both
+        # curvature vectors keep their bits
+        runs = []
+        for dense in (False, True):
+            graph, loss, one_d = random_tape(program, seed, np.float64)
+            leaves = [v for v in graph.nodes if v.op == "leaf"]
+            grads = ad.backward(loss, retain=leaves if dense else one_d)
+            runs.append([grads[v.id].tobytes() for v in leaves]
+                        + [ad.hessian_diag_1d(loss, p).tobytes() for p in one_d])
+        assert runs[0] == runs[1]
+
+
 def captured_by(f):
     """The Variables that one vjp holds in its closure."""
     return {c.cell_contents for c in (f.__closure__ or ())
@@ -539,6 +642,11 @@ def read_by_the_sweeps(graph, retain):
     return read
 
 
+def read_values(graph):
+    """The Variables that some edge of the tape reads."""
+    return {r for node in graph.nodes for r in node.reads if r is not None}
+
+
 def owning_base(a):
     while isinstance(a.base, np.ndarray):
         a = a.base
@@ -546,7 +654,7 @@ def owning_base(a):
 
 
 # op -> its builder over operands a and b, and the names among a, b and its
-# output that the new node marks saved
+# output that the new node's edges read
 SAVES = {
     "mul": (lambda a, b: ad.mul(a, b), {"a", "b"}),
     "log": (lambda a, b: ad.log(a), {"a"}),
@@ -585,8 +693,8 @@ class TestSavedValues:
             graph.recording = recording
             out = build(a, b)
             assert out.op == op
-            saved = {name for name, v in (("a", a), ("b", b), ("out", out)) if v.saved}
-            assert saved == (expected if recording else set()), recording
+            read = {name for name, v in (("a", a), ("b", b), ("out", out)) if v in out.reads}
+            assert read == (expected if recording else set()), recording
             # each edge names the one operand its vjp reads
             assert len(out.reads) == len(out.vjps) == (len(out.parents) if recording else 0)
             for f, r in zip(out.vjps, out.reads):
@@ -605,7 +713,7 @@ class TestSavedValues:
 
         monkeypatch.setattr(ad.Variable, "__init__", spy)
         model, graph, env, loss, _ = small_cnn_tape(model_name)
-        assert {v for v in graph.nodes if v.saved} == captured(graph)
+        assert read_values(graph) == captured(graph)
         read = read_by_the_sweeps(graph, channelwise(model, env))
         assert read < captured(graph)
         kept = read | {loss} | set(graph.retained.values())
@@ -649,7 +757,7 @@ class TestTapeAfterTheBackward:
         runs = []
         for prune in (True, False):
             if not prune:
-                monkeypatch.setattr(ad, "_drop_unread", lambda *args: None)
+                monkeypatch.setattr(ad, "_drop", lambda *args: None)
             model, env, loss = small_loss(model_name, dtype)
             runs.append(grads_and_curvature(loss.graph, loss, channelwise(model, env)))
         lean, full = runs
@@ -657,21 +765,21 @@ class TestTapeAfterTheBackward:
 
     @pytest.mark.parametrize("model_name", ["cnn-bn", "cnn-wn", "mlp-bn"])
     def test_without_retain_every_saved_value_keeps_its_data(self, model_name):
-        # sgdm's backward: no curvature sweep follows, and nothing runs
-        # after the sweep
+        # sgdm's backward: no curvature sweep follows, so only the values no
+        # edge reads are freed, before the sweep
         _, env, loss = small_loss(model_name, np.float32)
         graph = loss.graph
         ad.backward(loss)
-        saved = [v for v in graph.nodes if v.saved]
-        assert saved and len(graph.nodes) == loss.id + 1
-        for v in saved:
+        read = read_values(graph)
+        assert read and len(graph.nodes) == loss.id + 1
+        for v in read:
             assert owning_base(v.value).flags.owndata and np.isfinite(v.value).all(), v
 
     def test_the_retaining_backward_sets_the_step_peak(self, monkeypatch):
         # cnn-bn f32 at batch 100, by tracemalloc: once the values no sweep
         # reads are gone, the curvature sweeps over the 22.3 MiB tape peak at
         # the recorded backward's 52.6 MiB; over the 39.1 MiB tape that
-        # kept every saved value they peaked at 69.4
+        # kept every value an edge reads they peaked at 69.4
         model = nn.build_model("cnn-bn", Rng(0), in_shape=(1, 28, 28), n_classes=10,
                                dtype=np.float32)
         x = Rng(1).normal((100, 1, 28, 28)).astype(np.float32)
