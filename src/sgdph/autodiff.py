@@ -31,24 +31,26 @@ none is told which of its parents are admitted.
 The primitives do only what the layers ask of them. add, sub and mul take
 operands of equal shape; a layer broadcasts explicitly with reshape and
 broadcast_to, which keeps the rank. matmul takes two matrices. conv2d is
-same-padded with stride 1, and with its input adjoint conv_t and its kernel
-adjoint conv_w it forms a family closed under differentiation: each of the
-three has its vjps in the other two and itself, so a recorded backward
-through a convolution holds no patch matrix and stays exact to any order.
+same-padded with stride 1 and takes an odd kernel. With its kernel adjoint
+conv_w and flip, which turns a kernel half a turn and swaps its channel
+axes, it forms a family closed under differentiation: conv2d's input
+adjoint is conv2d(g, flip(w)), and each of the three has its vjps in the
+family, so a recorded backward through a convolution holds no patch matrix
+and stays exact to any order.
 
 A node keeps its value only while a sweep still to run can read it, and
 a sweep reads a value only through an edge it crosses. Each on-tape edge
 names in `reads` the one operand its vjp reads: the other operand for
-mul, matmul and the three convolutions, the input for log, and the node's
+mul, matmul and the two convolutions, the input for log, and the node's
 own output for recip, sqrt and exp. The other ops read a bool mask
-(relu), a constant (cmul) or shapes only. So once the forward is
-complete, backward() frees every value below the loss that no edge reads.
-A curvature sweep crosses only the edges into the retained leaves'
-descendant cone, so the values those edges read are `live`, and every
-other value is freed once the retaining sweep has no use left for it
-(the to-be-recorded analysis of Hascoet, Naumann and Pascual, 2005, run
-over the recorded backward). The loss, the leaves, the constants and the
-retained gradients keep theirs.
+(relu), a constant (cmul), shapes only or nothing (flip). So once the
+forward is complete, backward() frees every value below the loss that no
+edge reads. A curvature sweep crosses only the edges into the retained
+leaves' descendant cone, so the values those edges read are `live`, and
+every other value is freed once the retaining sweep has no use left for
+it (the to-be-recorded analysis of Hascoet, Naumann and Pascual, 2005,
+run over the recorded backward). The loss, the leaves, the constants and
+the retained gradients keep theirs.
 
 Tapes are define-by-run and single-use: build a fresh Graph per step.
 """
@@ -353,30 +355,28 @@ def mean_axes(a: Variable, axes: tuple) -> Variable:
 def conv2d(x: Variable, w: Variable) -> Variable:
     """Same-padded stride-1 cross-correlation of [N,Cin,H,W] with
     [Cout,Cin,kh,kw] (tensor.conv2d). Its vjps are the input adjoint
-    conv_t(g, w) and the kernel adjoint conv_w(x, g)."""
+    conv2d(g, flip(w)) and the kernel adjoint conv_w(x, g)."""
     value = tensor.conv2d(x.value, w.value)
     kh, kw = w.shape[2:]
     return _op(x.graph, value, (x, w),
-               (lambda g: conv_t(g, w), lambda g: conv_w(x, g, kh, kw)), "conv2d", (w, x))
+               (lambda g: conv2d(g, flip(w)), lambda g: conv_w(x, g, kh, kw)), "conv2d", (w, x))
 
 
-def conv_t(g: Variable, w: Variable) -> Variable:
-    """Transposed convolution of an [N,Cout,H,W] adjoint with w
-    (tensor.conv_t): conv2d's input adjoint. Being linear in each operand,
-    it has the vjps conv2d(z, w) for g and conv_w(z, g) for w."""
-    value = tensor.conv_t(g.value, w.value)
-    kh, kw = w.shape[2:]
-    return _op(g.graph, value, (g, w),
-               (lambda z: conv2d(z, w), lambda z: conv_w(z, g, kh, kw)), "conv_t", (w, g))
+def flip(w: Variable) -> Variable:
+    """The [Cout,Cin,kh,kw] kernel w as a [Cin,Cout,kh,kw] view, turned half
+    a turn in its plane: conv2d(g, flip(w)) is conv2d's input adjoint, since
+    an odd kernel's same padding is symmetric. A permutation that undoes
+    itself, flip is its own vjp."""
+    return _op(w.graph, w.value.swapaxes(0, 1)[:, :, ::-1, ::-1], (w,), (flip,), "flip")
 
 
 def conv_w(x: Variable, g: Variable, kh: int, kw: int) -> Variable:
     """Kernel adjoint of conv2d for input x and output adjoint g
-    (tensor.conv_w), a [Cout,Cin,kh,kw] kernel. Its vjps are conv_t(g, k)
-    for x and conv2d(x, k) for g. The node keeps x and g, never their
-    patch matrix: the kernel unfolds x again on each call."""
+    (tensor.conv_w), a [Cout,Cin,kh,kw] kernel. Its vjps are
+    conv2d(g, flip(k)) for x and conv2d(x, k) for g. The node keeps x and
+    g, never their patch matrix: the kernel unfolds x again on each call."""
     return _op(x.graph, tensor.conv_w(x.value, g.value, kh, kw), (x, g),
-               (lambda k: conv_t(g, k), lambda k: conv2d(x, k)), "conv_w", (g, x))
+               (lambda k: conv2d(g, flip(k)), lambda k: conv2d(x, k)), "conv_w", (g, x))
 
 
 # ---------------------------------------------------------------------------

@@ -80,11 +80,17 @@ class Linear(Layer):
         return x @ values[self.weight.name] + values[self.bias.name]
 
 
+def _odd_kernel(name: str, k: int) -> None:
+    if k % 2 == 0:
+        raise ShapeMismatchError(f"{name}: same padding needs an odd kernel size, got {k}")
+
+
 class Conv2d(Layer):
     """Same-padded stride-1 convolution without a bias: every Conv2d feeds
     a BatchNorm, whose mean subtraction would cancel one."""
 
     def __init__(self, name, c_in, c_out, k, rng, dtype=np.float64):
+        _odd_kernel(name, k)
         self.name = name
         fan_in = c_in * k * k
         self.weight = Parameter(
@@ -107,6 +113,7 @@ class WNConv(Layer):
     parameter eligible for second-order updates."""
 
     def __init__(self, name, c_in, c_out, k, rng, dtype=np.float64):
+        _odd_kernel(name, k)
         self.name = name
         fan_in = c_in * k * k
         v0 = _kaiming_uniform(rng, (c_out, c_in, k, k), fan_in, dtype)

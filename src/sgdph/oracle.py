@@ -229,7 +229,8 @@ def build_layer_case(case: str, seed: int):
         model = nn.Model(case, [nn.WNConv("conv", 2, 3, 3, rng)])
         return model, xrng.normal((2, 2, 6, 6)), "sos", None
     if case == "two-conv":
-        # conv2's input adjoint (conv_t) carries the loss back to conv1
+        # conv2's input adjoint, conv2d of its flipped kernel, carries the
+        # loss back to conv1
         model = nn.Model(case, [
             nn.Conv2d("conv1", 2, 3, 3, rng), nn.ReLU(), nn.Conv2d("conv2", 3, 2, 3, rng),
         ])

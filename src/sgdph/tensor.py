@@ -2,18 +2,22 @@
 
 Tensors are plain numpy arrays in NCHW row-major layout, f32 for training
 runs and f64 for every oracle comparison. Every convolution is same-padded
-with stride 1, and the kernels derive that padding from the kernel size.
+with stride 1 and takes an odd kernel only, so its padding is symmetric.
 A convolution is lowered per sample: unfold2d turns [N,C,H,W] into patch
 matrices [N, C*kh*kw, H*W] and one GEMM per sample with the [Cout, C*kh*kw]
 kernel gives [N, Cout, H*W], which is already NCHW, so no activation is a
-strided view. Its two adjoints, conv_t (input) and conv_w (kernel), are
-lowered the same way. All three run over the batch in chunks of as many
-samples as fit a _PATCH_BYTES patch matrix, so the patch matrix is a
-per-chunk transient, never the whole batch's (22.6 MB for conv2's input of
-a cnn-bn f32 step at batch 100), and is never returned. Every sample's GEMM
-and every tap's sum is the one the unchunked call makes, so chunking keeps
-every bit. Every kernel here but fold2d is pure, and fold2d adds only
-into the output array it is handed: no kernel mutates any other argument.
+strided view. Its kernel adjoint conv_w is lowered the same way. Its input
+adjoint needs no kernel of its own: it is conv2d of the output adjoint
+with the kernel turned half a turn and its channel axes swapped
+(autodiff.flip), which holds because the padding is symmetric. Both
+kernels run over the batch in chunks of as many samples as fit a
+_PATCH_BYTES patch matrix, so the patch matrix is a per-chunk transient,
+never the whole batch's (22.6 MB for conv2's input of a cnn-bn f32 step at
+batch 100), and is never returned. A conv2d with fewer output than input
+channels, as an input adjoint is, also takes at most n*Cout/Cin samples a
+chunk, so its patch matrix never outgrows the transposed convolution's. Every sample's GEMM is the one the
+unchunked call makes, so chunking keeps every bit. Every kernel here is
+pure: none writes into an argument.
 """
 
 from __future__ import annotations
@@ -115,11 +119,11 @@ def moments(x: np.ndarray, axes: tuple) -> tuple[np.ndarray, np.ndarray]:
 def _taps(kh: int, kw: int, h: int, w: int):
     """Per kernel tap (u, v) of a same-padded stride-1 convolution over an
     unpadded [..,H,W] input: the row and column slices of the input window
-    and of the output window it reads into. The padding is top (kh-1)//2
-    and left (kw-1)//2, the rest at the bottom and right, so the output is
-    H x W. Output pixel (i, j) reads input pixel (i + u - top, j + v - left);
-    the windows keep only the pixels that fall inside the input, so the
-    padding is never materialised."""
+    and of the output window it reads into. The odd kernel pads top =
+    (kh-1)/2 rows above and below the plane and left = (kw-1)/2 columns on
+    either side, so the output is H x W. Output pixel (i, j) reads input
+    pixel (i + u - top, j + v - left); the windows keep only the pixels
+    that fall inside the input, so the padding is never materialised."""
     pt, pl = (kh - 1) // 2, (kw - 1) // 2
     for u in range(kh):
         i0, i1 = max(0, pt - u), min(h, h + pt - u)
@@ -145,31 +149,24 @@ def unfold2d(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return cols.reshape(n, c * kh * kw, h * w)
 
 
-def fold2d(cols: np.ndarray, out: np.ndarray, kh: int, kw: int) -> None:
-    """Adjoint of unfold2d: scatter-adds [N, C*kh*kw, H*W] patch columns
-    onto the [N,C,H,W] `out`, one tap at a time in (u, v) order.
-    Contributions that unfold2d read from the padding are dropped."""
-    n, c, h, w = out.shape
-    patches = cols.reshape(n, c, kh, kw, h, w)
-    for u, v, si, sj, oi, oj in _taps(kh, kw, h, w):
-        out[:, :, si, sj] += patches[:, :, u, v, oi, oj]
-
-
 def check_conv(x_shape: tuple, w_shape: tuple) -> None:
     """Checks a stride-1 same-padded convolution of an [N,Cin,H,W] input
-    with a [Cout,Cin,kh,kw] kernel; the output keeps H and W."""
+    with a [Cout,Cin,kh,kw] kernel; the output keeps H and W. Only an odd
+    kernel pads as much on one side as on the other."""
     if len(x_shape) != 4 or len(w_shape) != 4:
         raise ShapeMismatchError(f"conv2d needs 4-D input/kernel, got {x_shape}, {w_shape}")
     if x_shape[1] != w_shape[1]:
         raise ShapeMismatchError(f"channel mismatch: input {x_shape[1]} vs kernel {w_shape[1]}")
-    # same padding fits any kernel on a plane of at least one pixel
+    if w_shape[2] % 2 == 0 or w_shape[3] % 2 == 0:
+        raise ShapeMismatchError(f"same padding needs an odd kernel, got kernel shape {w_shape}")
+    # same padding fits any odd kernel on a plane of at least one pixel
     if 0 in x_shape[2:]:
         raise ShapeMismatchError(f"conv2d needs a non-empty input plane, got {x_shape}")
 
 
 # the bytes of patch matrix a convolution kernel unfolds at a time. On
 # conv2's f32 shapes at batch 100 (2-core host), chunks of 2 to 100 samples
-# timed within 10% of each other in all three kernels; this gives 9.
+# timed within 10% of each other in each kernel; this gives 9.
 _PATCH_BYTES = 2 << 20
 
 
@@ -190,31 +187,12 @@ def conv2d(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     cout, cin, kh, kw = w.shape
     wm = w.reshape(cout, cin * kh * kw)
     out = np.empty((n, cout, h * wd), np.result_type(w, x))
-    k = _chunk(cin, kh, kw, h, wd, x.dtype)
+    # an input adjoint unfolds more channels than it outputs: chunks of at
+    # most n*Cout/Cin samples hold no more patches than kh*kw outputs
+    k = min(_chunk(cin, kh, kw, h, wd, x.dtype), max(1, n * cout // cin))
     for lo in range(0, n, k):
         np.matmul(wm, unfold2d(x[lo : lo + k], kh, kw), out=out[lo : lo + k])
     return out.reshape(n, cout, h, wd)
-
-
-def conv_t(g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Input adjoint of conv2d, the transposed convolution of an
-    [N,Cout,H,W] adjoint with a [Cout,Cin,kh,kw] kernel:
-    fold2d(W[Cout, Cin*kh*kw]^T @ g) per sample, a C-contiguous [N,Cin,H,W].
-    Each chunk of samples is folded straight into its slice of the output."""
-    g = np.asarray(g)
-    w = np.asarray(w)
-    if g.ndim != 4 or w.ndim != 4 or g.shape[1] != w.shape[0]:
-        raise ShapeMismatchError(f"conv_t needs [N,Cout,H,W] and [Cout,Cin,kh,kw], "
-                                 f"got {g.shape} and {w.shape}")
-    n, cout, h, wd = g.shape
-    _, cin, kh, kw = w.shape
-    wt = w.reshape(cout, cin * kh * kw).T
-    gm = g.reshape(n, cout, h * wd)
-    out = np.zeros((n, cin, h, wd), np.result_type(w, g))
-    k = _chunk(cin, kh, kw, h, wd, out.dtype)
-    for lo in range(0, n, k):
-        fold2d(np.matmul(wt, gm[lo : lo + k]), out[lo : lo + k], kh, kw)
-    return out
 
 
 def conv_w(x: np.ndarray, g: np.ndarray, kh: int, kw: int) -> np.ndarray:
@@ -225,11 +203,12 @@ def conv_w(x: np.ndarray, g: np.ndarray, kh: int, kw: int) -> np.ndarray:
     whole batch are summed once."""
     x = np.asarray(x)
     g = np.asarray(g)
-    if x.ndim != 4 or g.ndim != 4 or x.shape[:1] + x.shape[2:] != g.shape[:1] + g.shape[2:]:
+    if g.ndim != 4 or x.shape[:1] + x.shape[2:] != g.shape[:1] + g.shape[2:]:
         raise ShapeMismatchError(f"conv_w needs [N,Cin,H,W] and [N,Cout,H,W], "
                                  f"got {x.shape} and {g.shape}")
     n, cin, h, wd = x.shape
     cout = g.shape[1]
+    check_conv(x.shape, (cout, cin, kh, kw))
     gm = g.reshape(n, cout, h * wd)
     prods = np.empty((n, cout, cin * kh * kw), np.result_type(g, x))
     k = _chunk(cin, kh, kw, h, wd, x.dtype)

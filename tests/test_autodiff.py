@@ -54,8 +54,22 @@ ELEMENTWISE_CHAINS = [
 ]
 
 
-# the operands of each convolution op: input x, kernel w, output adjoint g
-CONV_FAMILY = {"conv2d": ("x", "w"), "conv_t": ("g", "w"), "conv_w": ("x", "g")}
+def flip_np(w):
+    """A [Cout,Cin,kh,kw] kernel turned half a turn, its channel axes swapped."""
+    return w.swapaxes(0, 1)[:, :, ::-1, ::-1]
+
+
+# each op of the convolution family, and conv2d's input adjoint built from
+# two of them: its tape builder, its numpy reference, and its operands out
+# of an input x, a kernel w and an output adjoint g
+CONV_FAMILY = {
+    "conv2d": (ad.conv2d, tensor.conv2d, ("x", "w")),
+    "conv2d_flip": (lambda g, w: ad.conv2d(g, ad.flip(w)),
+                    lambda g, w: tensor.conv2d(g, flip_np(w)), ("g", "w")),
+    "conv_w": (lambda x, g: ad.conv_w(x, g, 3, 3), lambda x, g: tensor.conv_w(x, g, 3, 3),
+               ("x", "g")),
+    "flip": (ad.flip, flip_np, ("w",)),
+}
 OPERAND_SHAPES = {"x": (2, 2, 5, 5), "w": (3, 2, 3, 3), "g": (2, 3, 5, 5)}
 
 
@@ -121,24 +135,23 @@ class TestFirstOrder:
                     np.arange(6.0))
         np.testing.assert_allclose(g, np.full(6, 0.5), rtol=0, atol=0)
 
-    @pytest.mark.parametrize("op,wrt", [(op, v) for op, names in CONV_FAMILY.items()
+    @pytest.mark.parametrize("op,wrt", [(op, v) for op, (_, _, names) in CONV_FAMILY.items()
                                         for v in names])
     def test_conv_family_vs_fd(self, op, wrt):
-        # each of the three convolution ops as a function of each operand
+        # each convolution op as a function of each operand
         rng = Rng(11)
-        operands = [rng.normal(OPERAND_SHAPES[name]) for name in CONV_FAMILY[op]]
-        arg = CONV_FAMILY[op].index(wrt)
-        ad_op, np_op = getattr(ad, op), getattr(tensor, op)
-        extra = (3, 3) if op == "conv_w" else ()
+        ad_op, np_op, names = CONV_FAMILY[op]
+        operands = [rng.normal(OPERAND_SHAPES[name]) for name in names]
+        arg = names.index(wrt)
 
         def build(p):
             args = [p if i == arg else p.graph.constant(v) for i, v in enumerate(operands)]
-            y = ad_op(*args, *extra)
+            y = ad_op(*args)
             return ad.cmul(ad.sum_all(ad.mul(y, y)), 0.5)
 
         def f(v):
             args = [v if i == arg else u for i, u in enumerate(operands)]
-            return float(0.5 * np.sum(np_op(*args, *extra) ** 2))
+            return float(0.5 * np.sum(np_op(*args) ** 2))
 
         g = grad_of(build, operands[arg])
         np.testing.assert_allclose(g, fd_grad(f, operands[arg], h=1e-5), rtol=0, atol=1e-6)
@@ -366,7 +379,23 @@ class TestConvolutionTape:
             h = ad.hessian_diag_1d(loss, env[name])
             rows = oracle.fd_hessian_block_1d(lossfn, model.values(), name).sum(axis=1)
             assert oracle.max_rel_err(h, rows) <= 1e-5, name
-        assert {"conv2d", "conv_t", "conv_w"} <= {node.op for node, _ in fired}
+        assert {"conv2d", "flip", "conv_w"} <= {node.op for node in graph.nodes}
+        assert {"conv2d", "conv_w"} <= {node.op for node, _ in fired}
+        # conv1.gamma's sweep crosses conv2's recorded input adjoint
+        # conv2d(g, flip(w)); flip's own edge leads only to conv2's kernel,
+        # which neither sweep reaches, so it never fires
+        assert any(node.op == "conv2d" and node.parents[1].op == "flip" for node, _ in fired)
+
+    def test_flip_is_a_view_and_its_own_vjp(self):
+        w = Rng(2).normal((3, 2, 3, 5))
+        graph = ad.Graph()
+        k = graph.variable(w)
+        f = ad.flip(k)
+        assert f.shape == (2, 3, 3, 5)
+        assert not f.value.flags.owndata and np.shares_memory(f.value, w)
+        np.testing.assert_array_equal(f.value, flip_np(w))
+        assert f.vjps == (ad.flip,) and f.reads == (None,)
+        np.testing.assert_array_equal(ad.flip(f).value, w)
 
     @pytest.mark.parametrize("model_name", ["cnn-bn", "cnn-wn"])
     def test_no_node_outgrows_the_largest_activation(self, model_name):
@@ -531,7 +560,8 @@ def as_square(a):
 
 
 # op -> its builder over two activations a and b, a kernel k and the 1-D
-# leaves (gamma, beta); conv_w builds a kernel, every other op an activation
+# leaves (gamma, beta); conv_w and flip build a kernel, every other op an
+# activation
 RANDOM_OPS = {
     "add": lambda a, b, k, gb: ad.add(a, b),
     "sub": lambda a, b, k, gb: ad.sub(a, b),
@@ -550,13 +580,15 @@ RANDOM_OPS = {
     "mean": lambda a, b, k, gb: ad.sub(a, per_channel(ad.mean_axes(a, (0, 2, 3)))),
     "batchnorm": lambda a, b, k, gb: ad.add(ad.mul(a, per_channel(gb[0])), per_channel(gb[1])),
     "conv2d": lambda a, b, k, gb: ad.conv2d(a, k),
-    "conv_t": lambda a, b, k, gb: ad.conv_t(a, k),
+    "conv2d_flip": lambda a, b, k, gb: ad.conv2d(a, ad.flip(k)),
     "conv_w": lambda a, b, k, gb: ad.conv_w(a, b, 3, 3),
+    "flip": lambda a, b, k, gb: ad.flip(k),
 }
+KERNEL_OPS = {"conv_w", "flip"}
 
 
 def bounded(v):
-    """v, scaled into [-1, 1] where it leaves it: exp, matmul and the three
+    """v, scaled into [-1, 1] where it leaves it: exp, matmul and the
     convolutions of a random tape then cannot overflow."""
     top = float(np.abs(v.value).max())
     return ad.cmul(v, 1 / top) if top > 1 else v
@@ -581,7 +613,7 @@ def random_tape(program, seed, dtype):
     for op, i, j in program:
         v = RANDOM_OPS[op](acts[i % len(acts)], acts[j % len(acts)], kernels[j % len(kernels)],
                            (gamma, beta))
-        (kernels if op == "conv_w" else acts).append(bounded(v))
+        (kernels if op in KERNEL_OPS else acts).append(bounded(v))
     loss = ad.sum_all(ad.mul(acts[-1], acts[0]))
     return graph, loss, [gamma, beta]
 
@@ -660,7 +692,6 @@ SAVES = {
     "log": (lambda a, b: ad.log(a), {"a"}),
     "matmul": (lambda a, b: ad.matmul(a, b), {"a", "b"}),
     "conv2d": (lambda a, b: ad.conv2d(a, b), {"a", "b"}),
-    "conv_t": (lambda a, b: ad.conv_t(a, b), {"a", "b"}),
     "conv_w": (lambda a, b: ad.conv_w(a, b, 3, 3), {"a", "b"}),
     "recip": (lambda a, b: ad.recip(a), {"out"}),
     "sqrt": (lambda a, b: ad.sqrt(a), {"out"}),
@@ -673,12 +704,13 @@ SAVES = {
     "cadd": (lambda a, b: ad.cadd(a, 1.0), set()),
     "reshape": (lambda a, b: ad.reshape(a, (3, 2)), set()),
     "transpose": (lambda a, b: ad.transpose(a), set()),
+    "flip": (lambda a, b: ad.flip(a), set()),
     "broadcast": (lambda a, b: ad.broadcast_to(a, (2, 3)), set()),
     "sum": (lambda a, b: ad.sum_axes(a, (0,)), set()),
 }
 SAVES_SHAPES = {"matmul": ((2, 3), (3, 2)), "broadcast": ((1, 3), (1, 3)),
-                "conv2d": ((2, 2, 5, 5), (3, 2, 3, 3)), "conv_t": ((2, 3, 5, 5), (3, 2, 3, 3)),
-                "conv_w": ((2, 2, 5, 5), (2, 3, 5, 5))}
+                "conv2d": ((2, 2, 5, 5), (3, 2, 3, 3)), "conv_w": ((2, 2, 5, 5), (2, 3, 5, 5)),
+                "flip": ((3, 2, 3, 3), (3, 2, 3, 3))}
 
 
 class TestSavedValues:

@@ -184,6 +184,11 @@ class TestLinearConv:
         layer = nn.WNConv("c", 1, 2, 3, Rng(4))
         assert layer.bias.kind == ad.CHANNELWISE_1D
 
+    @pytest.mark.parametrize("layer", [nn.Conv2d, nn.WNConv])
+    def test_even_kernel_rejected_at_construction(self, layer):
+        with pytest.raises(ShapeMismatchError, match="conv7: .*odd kernel size, got 4"):
+            layer("conv7", 2, 3, 4, Rng(1))
+
 
 class TestLosses:
     def test_uniform_logits_give_log_k(self):

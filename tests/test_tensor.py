@@ -1,5 +1,6 @@
 """Tensor kernel checks against naive loop oracles and hand values."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,10 +13,8 @@ from sgdph.tensor import (
     Rng,
     ShapeMismatchError,
     conv2d,
-    conv_t,
     conv_w,
     elementwise,
-    fold2d,
     matmul,
     moments,
     unfold2d,
@@ -157,7 +156,7 @@ class TestConv2d:
 
     def test_zero_kernel(self):
         x = Rng(4).normal((1, 2, 3, 3))
-        out = conv2d(x, np.zeros((3, 2, 2, 2)))
+        out = conv2d(x, np.zeros((3, 2, 3, 3)))
         np.testing.assert_array_equal(out, np.zeros((1, 3, 3, 3)))
 
     def test_against_nested_loops_same_multichannel(self):
@@ -169,15 +168,19 @@ class TestConv2d:
         ref = conv2d_loops(x, w, (1, 1, 1, 1))
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
 
-    def test_same_padding_even_kernel(self):
-        # even kernels pad asymmetrically, the extra row/col at the bottom
-        # and right; the loop oracle pins that convention on its own
+    def test_against_nested_loops_odd_non_square_kernel(self):
+        # a 3x5 kernel pads one row above and below, two columns either side
         rng = Rng(13)
-        x = rng.normal((1, 1, 4, 4))
-        w = rng.normal((1, 1, 2, 2))
-        out = conv2d(x, w)
-        assert out.shape == (1, 1, 4, 4)
-        np.testing.assert_allclose(out, conv2d_loops(x, w, (0, 1, 0, 1)), rtol=0, atol=1e-12)
+        x = rng.normal((2, 2, 4, 6))
+        w = rng.normal((3, 2, 3, 5))
+        np.testing.assert_allclose(conv2d(x, w), conv2d_loops(x, w, (1, 1, 2, 2)),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 2, 2), (1, 1, 3, 2), (1, 1, 4, 3)])
+    def test_even_kernel_rejected(self, shape):
+        # same padding is symmetric only for an odd kernel
+        with pytest.raises(ShapeMismatchError, match=f"odd kernel.*{re.escape(str(shape))}"):
+            conv2d(np.zeros((1, 1, 4, 4)), np.zeros(shape))
 
     def test_empty_plane(self):
         with pytest.raises(ShapeMismatchError, match="non-empty"):
@@ -185,82 +188,88 @@ class TestConv2d:
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeMismatchError, match="channel"):
-            conv2d(np.zeros((1, 2, 4, 4)), np.zeros((1, 3, 2, 2)))
+            conv2d(np.zeros((1, 2, 4, 4)), np.zeros((1, 3, 3, 3)))
+
+
+def flip(w):
+    """A [Cout,Cin,kh,kw] kernel turned half a turn, its channel axes swapped."""
+    return w.swapaxes(0, 1)[:, :, ::-1, ::-1]
 
 
 class TestConvAdjoints:
-    @pytest.mark.parametrize("k", [3, 2])
+    @pytest.mark.parametrize("k", [3, 5])
     def test_adjoint_identities(self, k):
-        # <conv2d(x, w), g> == <x, conv_t(g, w)> == <w, conv_w(x, g)>: the
-        # two adjoints of a bilinear map, for odd and for even kernels
+        # <conv2d(x, w), g> == <x, conv2d(g, flip(w))> == <w, conv_w(x, g)>:
+        # the two adjoints of a bilinear map, for the odd kernels 3x5 and
+        # 5x3, which are not square
         rng = Rng(31 + k)
         x = rng.normal((2, 3, 5, 4))
-        w = rng.normal((4, 3, k, k))
+        w = rng.normal((4, 3, k, 8 - k))
         g = rng.normal((2, 4, 5, 4))
         lhs = float(np.sum(conv2d(x, w) * g))
-        gx, gw = conv_t(g, w), conv_w(x, g, k, k)
+        gx, gw = conv2d(g, flip(w)), conv_w(x, g, k, 8 - k)
         assert gx.shape == x.shape and gx.flags.c_contiguous
         assert gw.shape == w.shape
         assert float(np.sum(x * gx)) == pytest.approx(lhs, rel=1e-12)
         assert float(np.sum(w * gw)) == pytest.approx(lhs, rel=1e-12)
 
+    @pytest.mark.parametrize("kh,kw", [(2, 2), (3, 4)])
+    def test_kernel_adjoint_rejects_even_kernels(self, kh, kw):
+        shape = re.escape(str((4, 2, kh, kw)))
+        with pytest.raises(ShapeMismatchError, match=f"odd kernel.*{shape}"):
+            conv_w(np.zeros((1, 2, 4, 4)), np.zeros((1, 4, 4, 4)), kh, kw)
+
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError, match="conv_t"):
-            conv_t(np.zeros((1, 2, 4, 4)), np.zeros((3, 2, 3, 3)))
         with pytest.raises(ShapeMismatchError, match="conv_w"):
             conv_w(np.zeros((1, 2, 4, 4)), np.zeros((1, 3, 4, 5)), 3, 3)
 
 
 class TestUnfoldFold:
     def test_unfold_column_is_receptive_field(self):
-        # a 2x2 kernel pads one row at the bottom and one column at the right
+        # a 3x3 kernel pads one row and one column on every side
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-        cols = unfold2d(x, 2, 2)
-        assert cols.shape == (1, 4, 16)
-        np.testing.assert_array_equal(cols[0, :, 0], [0, 1, 4, 5])
-        np.testing.assert_array_equal(cols[0, :, 5], [5, 6, 9, 10])
-        np.testing.assert_array_equal(cols[0, :, 15], [15, 0, 0, 0])
+        cols = unfold2d(x, 3, 3)
+        assert cols.shape == (1, 9, 16)
+        np.testing.assert_array_equal(cols[0, :, 0], [0, 0, 0, 0, 0, 1, 0, 4, 5])
+        np.testing.assert_array_equal(cols[0, :, 5], [0, 1, 2, 4, 5, 6, 8, 9, 10])
+        np.testing.assert_array_equal(cols[0, :, 15], [10, 11, 0, 14, 15, 0, 0, 0, 0])
         # column p = i*W + j of sample n is the (c, u, v)-ordered window of
         # the zero-padded input at output pixel (i, j), value for value; a
-        # 3x2 kernel pads (top, bottom, left, right) = (1, 1, 0, 1)
+        # 3x5 kernel pads (top, bottom, left, right) = (1, 1, 2, 2)
         x = Rng(4).normal((2, 3, 5, 4))
-        cols = unfold2d(x, 3, 2)
-        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (0, 1)))
-        assert cols.shape == (2, 3 * 3 * 2, 5 * 4)
+        cols = unfold2d(x, 3, 5)
+        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (2, 2)))
+        assert cols.shape == (2, 3 * 3 * 5, 5 * 4)
         for n in range(2):
             for i in range(5):
                 for j in range(4):
                     np.testing.assert_array_equal(
-                        cols[n, :, i * 4 + j], xp[n, :, i : i + 3, j : j + 2].ravel()
+                        cols[n, :, i * 4 + j], xp[n, :, i : i + 3, j : j + 5].ravel()
                     )
 
-    def test_fold_is_adjoint_of_unfold(self):
-        # <unfold(x), c> == <x, fold(c)> for random c: the defining adjoint pair
-        rng = Rng(21)
-        x = rng.normal((2, 3, 5, 5))
-        cols = unfold2d(x, 3, 3)
-        c = rng.normal(cols.shape)
-        lhs = float(np.sum(cols * c))
-        folded = np.zeros(x.shape)
-        fold2d(c, folded, 3, 3)
-        rhs = float(np.sum(x * folded))
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+
+class TestPurity:
+    def test_kernels_leave_read_only_inputs_bit_identical(self):
+        # a kernel that wrote into an argument would raise on these
+        rng = Rng(17)
+        x, w, g = rng.normal((3, 2, 5, 4)), rng.normal((4, 2, 3, 5)), rng.normal((3, 4, 5, 4))
+        before = [a.tobytes() for a in (x, w, g)]
+        for a in (x, w, g):
+            a.flags.writeable = False
+        conv2d(x, w)
+        conv2d(g, flip(w))
+        conv_w(x, g, 3, 5)
+        unfold2d(x, 3, 5)
+        assert [a.tobytes() for a in (x, w, g)] == before
 
 
 def whole_batch(op, a, b):
-    """conv2d, conv_t or conv_w over the whole batch at once, unfolding or
-    folding one [N, C*3*3, H*W] patch matrix: the unchunked formulas."""
+    """conv2d or conv_w over the whole batch at once, unfolding one
+    [N, C*3*3, H*W] patch matrix: the unchunked formulas."""
     if op == "conv2d":
         x, w = a, b
         out = np.matmul(w.reshape(w.shape[0], -1), unfold2d(x, 3, 3))
         return out.reshape((x.shape[0], w.shape[0]) + x.shape[2:])
-    if op == "conv_t":
-        g, w = a, b
-        n, cout, h, wd = g.shape
-        cols = np.matmul(w.reshape(cout, -1).T, g.reshape(n, cout, h * wd))
-        out = np.zeros((n, w.shape[1], h, wd), g.dtype)
-        fold2d(cols, out, 3, 3)
-        return out
     x, g = a, b
     n, cout, h, wd = g.shape
     prods = np.matmul(g.reshape(n, cout, h * wd), unfold2d(x, 3, 3).swapaxes(-1, -2))
@@ -270,7 +279,7 @@ def whole_batch(op, a, b):
 class TestBatchChunks:
     # 8 input channels on 12x12 planes: chunks of 50 samples in f32, 25 in f64
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("op", ["conv2d", "conv_t", "conv_w"])
+    @pytest.mark.parametrize("op", ["conv2d", "conv_w"])
     def test_chunked_kernels_equal_the_whole_batch_formulas(self, op, dtype):
         k = tensor._chunk(8, 3, 3, 12, 12, dtype)
         assert 1 < k < 100
@@ -279,11 +288,26 @@ class TestBatchChunks:
         for n in (1, k - 1, k, k + 3, 100):
             x = rng.normal((n, 8, 12, 12), dtype)
             g = rng.normal((n, 16, 12, 12), dtype)
-            a, b = {"conv2d": (x, w), "conv_t": (g, w), "conv_w": (x, g)}[op]
+            a, b = {"conv2d": (x, w), "conv_w": (x, g)}[op]
             got = conv_w(a, b, 3, 3) if op == "conv_w" else getattr(tensor, op)(a, b)
             ref = whole_batch(op, a, b)
             assert got.dtype == ref.dtype == dtype
             assert got.flags.c_contiguous and np.array_equal(got, ref), (op, n)
+
+    def test_an_input_adjoint_unfolds_half_the_batch_at_a_time(self):
+        # conv2d(g, flip(w)) for a 8 -> 16 kernel on a batch that fits one
+        # _PATCH_BYTES chunk: a chunk of n*Cout/Cin samples, the same bits
+        g = Rng(0).normal((4, 16, 6, 6), np.float32)
+        w = flip(Rng(1).normal((16, 8, 3, 3), np.float32))
+        patch = 4 * 16 * 9 * 36 * 4
+        tracemalloc.start()
+        try:
+            got = conv2d(g, w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, whole_batch("conv2d", g, w))
+        assert patch // 2 <= peak <= patch // 2 + got.nbytes + w.nbytes + 4096, peak
 
     def test_conv2d_never_holds_the_whole_batch_patch_matrix(self):
         # conv2 of a cnn-bn f32 step at batch 100: the whole batch's patch
