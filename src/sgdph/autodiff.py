@@ -30,7 +30,13 @@ none is told which of its parents are admitted.
 
 The primitives do only what the layers ask of them. add, sub and mul take
 operands of equal shape; a layer broadcasts explicitly with reshape and
-broadcast_to, which keeps the rank. matmul takes two matrices. conv2d is
+broadcast_to, which keeps the rank. The channel pair works along axis 1 of
+an [N,C] or [N,C,H,W] activation: chscale(x, s) scales each channel by one
+entry of the C-vector s, and chdot(x, y) sums x*y over every other axis
+into a C-vector. chscale's vjps are chscale and chdot, and chdot's are two
+chscales, so the pair is closed under differentiation and BatchNorm's
+per-channel scale and variance stay exact to any order without an
+activation-sized product on the tape. matmul takes two matrices. conv2d is
 same-padded with stride 1 and takes an odd kernel. With its kernel adjoint
 conv_w and flip, which turns a kernel half a turn and swaps its channel
 axes, it forms a family closed under differentiation: conv2d's input
@@ -41,11 +47,11 @@ and stays exact to any order.
 A node keeps its value only while a sweep still to run can read it, and
 a sweep reads a value only through an edge it crosses. Each on-tape edge
 names in `reads` the one operand its vjp reads: the other operand for
-mul, matmul and the two convolutions, the input for log, and the node's
-own output for recip, sqrt and exp. The other ops read a bool mask
-(relu), a constant (cmul), shapes only or nothing (flip). So once the
-forward is complete, backward() frees every value below the loss that no
-edge reads. A curvature sweep crosses only the edges into the retained
+mul, matmul, the channel pair and the two convolutions, the input for
+log, and the node's own output for recip, sqrt and exp. The other ops
+read a bool mask (relu), a constant (cmul), shapes only or nothing
+(flip). So once the forward is complete, backward() frees every value
+below the loss that no edge reads. A curvature sweep crosses only the edges into the retained
 leaves' descendant cone, so the values those edges read are `live`, and
 every other value is freed once the retaining sweep has no use left for
 it (the to-be-recorded analysis of Hascoet, Naumann and Pascual, 2005,
@@ -350,6 +356,29 @@ def mean_axes(a: Variable, axes: tuple) -> Variable:
     for ax in axes:
         count *= a.shape[ax]
     return cmul(sum_axes(a, axes), 1.0 / count)
+
+
+def chscale(x: Variable, s: Variable) -> Variable:
+    """x scaled per channel by the C-vector s, x[:, c] * s[c], for an [N,C]
+    or [N,C,H,W] x (tensor.chscale). Its vjps are chscale(g, s) for x and
+    chdot(x, g) for s."""
+    return _op(x.graph, tensor.chscale(x.value, s.value), (x, s),
+               (lambda g: chscale(g, s), lambda g: chdot(x, g)), "chscale", (s, x))
+
+
+def chdot(x: Variable, y: Variable) -> Variable:
+    """Per-channel inner product of two [N,C] or [N,C,H,W] operands of one
+    shape, the C-vector of sums of x*y over every axis but 1 (tensor.chdot).
+    Its vjps are chscale(y, G) for x and chscale(x, G) for y, so with
+    chscale it forms a pair closed under differentiation."""
+    value = tensor.chdot(x.value, y.value)
+    if x is y:  # as in mul(a, a): one function, so G*x is built once
+        def f(G):
+            return chscale(x, G)
+        vjps = (f, f)
+    else:
+        vjps = (lambda G: chscale(y, G), lambda G: chscale(x, G))
+    return _op(x.graph, value, (x, y), vjps, "chdot", (y, x))
 
 
 def conv2d(x: Variable, w: Variable) -> Variable:

@@ -184,15 +184,15 @@ class BatchNorm(Layer):
         # x + (-mu), bitwise x - mu: the backward negates the C-vector, where
         # sub would negate a batch-sized adjoint
         d = ad.add(x, ad.broadcast_to(ad.reshape(ad.neg(mu), keep), x.shape))
-        var = ad.mean_axes(ad.mul(d, d), axes)
+        var = ad.cmul(ad.chdot(d, d), 1.0 / (x.value.size // self.c))
         # running stats track detached batch statistics
         self.running_mean = (1 - _STAT_MOMENTUM) * self.running_mean + _STAT_MOMENTUM * mu.value
         self.running_var = (1 - _STAT_MOMENTUM) * self.running_var + _STAT_MOMENTUM * var.value
         inv = ad.recip(ad.sqrt(ad.cadd(var, self.eps_bn)))
-        xhat = ad.mul(d, ad.broadcast_to(ad.reshape(inv, keep), x.shape))
-        g = ad.broadcast_to(ad.reshape(env[self.gamma.name], keep), x.shape)
-        b = ad.broadcast_to(ad.reshape(env[self.beta.name], keep), x.shape)
-        return ad.add(ad.mul(g, xhat), b)
+        # gamma/sigma folded into one scale per channel: the tape holds no
+        # normalized activation
+        y = ad.chscale(d, ad.mul(env[self.gamma.name], inv))
+        return ad.add(y, ad.broadcast_to(ad.reshape(env[self.beta.name], keep), x.shape))
 
     def forward_np(self, x, values, training):
         self._check_channels(x.shape)

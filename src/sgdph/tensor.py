@@ -116,6 +116,39 @@ def moments(x: np.ndarray, axes: tuple) -> tuple[np.ndarray, np.ndarray]:
     return mean, var
 
 
+# per-channel inner products over every axis but the channel axis 1
+_CHDOT = {2: "nc,nc->c", 4: "nchw,nchw->c"}
+
+
+def _check_channel_layout(op: str, x_shape: tuple) -> None:
+    if len(x_shape) not in _CHDOT:
+        raise ShapeMismatchError(f"{op} needs [N,C] or [N,C,H,W], got {x_shape}")
+
+
+def chscale(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """x scaled per channel, x[:, c] * s[c], for an [N,C] or [N,C,H,W] x
+    and a C-vector s."""
+    x = np.asarray(x)
+    s = np.asarray(s)
+    _check_channel_layout("chscale", x.shape)
+    if s.shape != x.shape[1:2]:
+        raise ShapeMismatchError(f"chscale needs a scale of shape ({x.shape[1]},) for "
+                                 f"{x.shape}, got {s.shape}")
+    return x * s.reshape((1, -1) + (1,) * (x.ndim - 2))
+
+
+def chdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-channel inner product: the C-vector of sums of x*y over every
+    axis but 1, for two [N,C] or [N,C,H,W] arrays of one shape. One einsum
+    reduction, which builds no product array."""
+    x = np.asarray(x)
+    y = np.asarray(y)
+    _check_channel_layout("chdot", x.shape)
+    if x.shape != y.shape:
+        raise ShapeMismatchError(f"chdot needs equal shapes, got {x.shape} and {y.shape}")
+    return np.einsum(_CHDOT[x.ndim], x, y)
+
+
 def _taps(kh: int, kw: int, h: int, w: int):
     """Per kernel tap (u, v) of a same-padded stride-1 convolution over an
     unpadded [..,H,W] input: the row and column slices of the input window

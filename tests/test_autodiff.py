@@ -1,6 +1,7 @@
 """Tape gradients and second-sweep curvature against finite differences
 and closed forms."""
 
+import gc
 import re
 import tracemalloc
 
@@ -73,6 +74,50 @@ CONV_FAMILY = {
 OPERAND_SHAPES = {"x": (2, 2, 5, 5), "w": (3, 2, 3, 3), "g": (2, 3, 5, 5)}
 
 
+def chscale_np(x, s):
+    """x[:, c] * s[c], channels on axis 1."""
+    return np.moveaxis(np.moveaxis(x, 1, -1) * s, -1, 1)
+
+
+def chdot_np(x, y):
+    """The sums of x*y over every axis but 1."""
+    return np.sum(x * y, axis=tuple(i for i in range(x.ndim) if i != 1))
+
+
+# each op of the channel pair, and chdot's square: its tape builder, its
+# numpy reference, and its operands out of two activations x and y and a
+# C-vector s
+CHANNEL_PAIR = {
+    "chscale": (ad.chscale, chscale_np, ("x", "s")),
+    "chdot": (ad.chdot, chdot_np, ("x", "y")),
+    "chdot_square": (lambda x: ad.chdot(x, x), lambda x: chdot_np(x, x), ("x",)),
+}
+# [N,C] and [N,C,H,W] activations of C = 3 channels
+CHANNEL_LAYOUTS = {"nc": (4, 3), "nchw": (2, 3, 4, 5)}
+
+
+def assert_vjp_matches_fd(ad_op, np_op, operands, arg):
+    """The tape gradient of 0.5*|op(operands)|^2 in operands[arg], against
+    central differences of the numpy reference."""
+    def build(p):
+        args = [p if i == arg else p.graph.constant(v) for i, v in enumerate(operands)]
+        y = ad_op(*args)
+        return ad.cmul(ad.sum_all(ad.mul(y, y)), 0.5)
+
+    def f(v):
+        args = [v if i == arg else u for i, u in enumerate(operands)]
+        return float(0.5 * np.sum(np_op(*args) ** 2))
+
+    g = grad_of(build, operands[arg])
+    np.testing.assert_allclose(g, fd_grad(f, operands[arg], h=1e-5), rtol=0, atol=1e-6)
+
+
+def channel_operands(names, layout, dtype, seed):
+    rng = Rng(seed)
+    shapes = {"x": CHANNEL_LAYOUTS[layout], "y": CHANNEL_LAYOUTS[layout], "s": (3,)}
+    return [rng.normal(shapes[name]).astype(dtype) for name in names]
+
+
 class TestFirstOrder:
     def test_square_hand_value(self):
         g = grad_of(lambda p: ad.sum_all(ad.mul(p, p)), [3.0])
@@ -142,19 +187,67 @@ class TestFirstOrder:
         rng = Rng(11)
         ad_op, np_op, names = CONV_FAMILY[op]
         operands = [rng.normal(OPERAND_SHAPES[name]) for name in names]
-        arg = names.index(wrt)
+        assert_vjp_matches_fd(ad_op, np_op, operands, names.index(wrt))
+
+    @pytest.mark.parametrize("layout", CHANNEL_LAYOUTS)
+    @pytest.mark.parametrize("op,wrt", [(op, v) for op, (_, _, names) in CHANNEL_PAIR.items()
+                                        for v in names])
+    def test_channel_pair_vs_fd(self, op, wrt, layout):
+        # each op of the channel pair as a function of each operand
+        ad_op, np_op, names = CHANNEL_PAIR[op]
+        operands = channel_operands(names, layout, np.float64, 13)
+        assert_vjp_matches_fd(ad_op, np_op, operands, names.index(wrt))
+
+
+class TestChannelPair:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", CHANNEL_LAYOUTS)
+    @pytest.mark.parametrize("op", CHANNEL_PAIR)
+    def test_values_match_numpy(self, op, layout, dtype):
+        ad_op, np_op, names = CHANNEL_PAIR[op]
+        operands = channel_operands(names, layout, dtype, 17)
+        graph = ad.Graph()
+        out = ad_op(*[graph.variable(v) for v in operands])
+        ref = np_op(*operands)
+        assert out.shape == ref.shape and out.dtype == dtype
+        rtol = 1e-5 if dtype == np.float32 else 1e-13
+        np.testing.assert_allclose(out.value, ref, rtol=rtol, atol=rtol)
+
+    @pytest.mark.parametrize("layout", CHANNEL_LAYOUTS)
+    def test_curvature_through_both_ops_vs_fd_of_gradient(self, layout):
+        # L(s) = sum(chdot(chscale(x, s), chscale(y, s*s))^2) couples the
+        # channels through nothing but the pair, so its Hessian row sums
+        # differentiate every vjp of both ops once more
+        x0, y0 = channel_operands(("x", "y"), layout, np.float64, 19)
 
         def build(p):
-            args = [p if i == arg else p.graph.constant(v) for i, v in enumerate(operands)]
-            y = ad_op(*args)
-            return ad.cmul(ad.sum_all(ad.mul(y, y)), 0.5)
+            graph = p.graph
+            t = ad.chdot(ad.chscale(graph.constant(x0), p),
+                         ad.chscale(graph.constant(y0), ad.mul(p, p)))
+            return ad.sum_all(ad.mul(t, t))
 
-        def f(v):
-            args = [v if i == arg else u for i, u in enumerate(operands)]
-            return float(0.5 * np.sum(np_op(*args) ** 2))
+        s0 = np.array([0.7, -1.1, 0.4])
+        h = 1e-5
+        rows = np.zeros(3)
+        for i in range(3):
+            sp, sm = s0.copy(), s0.copy()
+            sp[i] += h
+            sm[i] -= h
+            rows[i] = np.sum(grad_of(build, sp) - grad_of(build, sm)) / (2 * h)
+        np.testing.assert_allclose(hdiag_of(build, s0), rows, rtol=1e-7, atol=1e-7)
 
-        g = grad_of(build, operands[arg])
-        np.testing.assert_allclose(g, fd_grad(f, operands[arg], h=1e-5), rtol=0, atol=1e-6)
+    def test_shape_errors(self):
+        graph = ad.Graph()
+        x3 = graph.variable(np.ones((2, 3, 4)))
+        x = graph.variable(np.ones((2, 3, 4, 5)))
+        with pytest.raises(ShapeMismatchError, match=r"chscale.*\(2, 3, 4\)"):
+            ad.chscale(x3, graph.variable(np.ones(3)))
+        with pytest.raises(ShapeMismatchError, match=r"\(3,\).*\(2,\)"):
+            ad.chscale(x, graph.variable(np.ones(2)))
+        with pytest.raises(ShapeMismatchError, match=r"chdot.*\(2, 3, 4\)"):
+            ad.chdot(x3, x3)
+        with pytest.raises(ShapeMismatchError, match=r"\(2, 3, 4, 5\) and \(2, 3, 4, 4\)"):
+            ad.chdot(x, graph.variable(np.ones((2, 3, 4, 4))))
 
 
 class TestSecondSweep:
@@ -530,11 +623,15 @@ class TestSweepFreeing:
 
     def test_retaining_backward_peak_memory_is_bounded(self):
         # recorded adjoints and the operands of recorded adds are freed at
-        # their last use: 16.0 activations, where holding them to the end
-        # of the sweep peaked at 22.0
+        # their last use: 14.2 activations, where holding them to the end
+        # of the sweep peaked at 19.6
         model, _, env, loss, _ = small_cnn_loss("cnn-bn")
         retain = channelwise(model, env)
         activation = np.zeros((4, 16, 6, 6), dtype=np.float32).nbytes
+        # the earlier tests' garbage goes before the window opens: where a
+        # collection inside it falls depends on what ran before, and a
+        # first run, which creates .hypothesis/, read 4144 B more
+        gc.collect()
         tracemalloc.start()
         try:
             ad.backward(loss, retain=retain)
@@ -579,6 +676,9 @@ RANDOM_OPS = {
     "matmul": lambda a, b, k, gb: ad.reshape(ad.matmul(as_square(a), as_square(b)), ACT),
     "mean": lambda a, b, k, gb: ad.sub(a, per_channel(ad.mean_axes(a, (0, 2, 3)))),
     "batchnorm": lambda a, b, k, gb: ad.add(ad.mul(a, per_channel(gb[0])), per_channel(gb[1])),
+    "chscale": lambda a, b, k, gb: ad.chscale(a, gb[0]),
+    "chdot": lambda a, b, k, gb: ad.chscale(b, ad.chdot(a, b)),
+    "chdot_square": lambda a, b, k, gb: ad.chscale(b, ad.chdot(a, a)),
     "conv2d": lambda a, b, k, gb: ad.conv2d(a, k),
     "conv2d_flip": lambda a, b, k, gb: ad.conv2d(a, ad.flip(k)),
     "conv_w": lambda a, b, k, gb: ad.conv_w(a, b, 3, 3),
@@ -691,6 +791,8 @@ SAVES = {
     "mul": (lambda a, b: ad.mul(a, b), {"a", "b"}),
     "log": (lambda a, b: ad.log(a), {"a"}),
     "matmul": (lambda a, b: ad.matmul(a, b), {"a", "b"}),
+    "chscale": (lambda a, b: ad.chscale(a, b), {"a", "b"}),
+    "chdot": (lambda a, b: ad.chdot(a, b), {"a", "b"}),
     "conv2d": (lambda a, b: ad.conv2d(a, b), {"a", "b"}),
     "conv_w": (lambda a, b: ad.conv_w(a, b, 3, 3), {"a", "b"}),
     "recip": (lambda a, b: ad.recip(a), {"out"}),
@@ -709,6 +811,7 @@ SAVES = {
     "sum": (lambda a, b: ad.sum_axes(a, (0,)), set()),
 }
 SAVES_SHAPES = {"matmul": ((2, 3), (3, 2)), "broadcast": ((1, 3), (1, 3)),
+                "chscale": ((2, 3), (3,)),
                 "conv2d": ((2, 2, 5, 5), (3, 2, 3, 3)), "conv_w": ((2, 2, 5, 5), (2, 3, 5, 5)),
                 "flip": ((3, 2, 3, 3), (3, 2, 3, 3))}
 
@@ -809,9 +912,9 @@ class TestTapeAfterTheBackward:
 
     def test_the_retaining_backward_sets_the_step_peak(self, monkeypatch):
         # cnn-bn f32 at batch 100, by tracemalloc: once the values no sweep
-        # reads are gone, the curvature sweeps over the 22.3 MiB tape peak at
-        # the recorded backward's 52.6 MiB; over the 39.1 MiB tape that
-        # kept every value an edge reads they peaked at 69.4
+        # reads are gone, the curvature sweeps over the 12.8 MiB tape peak at
+        # 38.3 MiB, below the recorded backward's 40.6 MiB; over the 19.9 MiB
+        # tape that kept every value an edge reads they peaked at 45.4
         model = nn.build_model("cnn-bn", Rng(0), in_shape=(1, 28, 28), n_classes=10,
                                dtype=np.float32)
         x = Rng(1).normal((100, 1, 28, 28)).astype(np.float32)
@@ -861,13 +964,17 @@ class TestEdges:
         assert all(len(v.vjps) == len(v.parents) for v in graph.nodes)
         assert all(v.vjps == () and v.parents == () for v in off_tape)
 
-    @pytest.mark.parametrize("model_name, recorded", [("cnn-bn", [0, 1]),
-                                                      ("cnn-wn", [0, 0])])
+    @pytest.mark.parametrize("model_name, recorded", [("cnn-bn", [[], ["chscale"]]),
+                                                      ("cnn-wn", [[], []])])
     def test_a_square_builds_its_product_once(self, model_name, recorded):
-        # mul(a, a) holds one function on both edges, so the retained
-        # backward calls it once: bn2's mul(d, d) records one mul, not two
+        # a square, chdot(d, d) in BatchNorm and mul(v, v) in the weight
+        # norm, holds one function on both edges, so the retained backward
+        # calls it once: bn2's chdot(d, d) records one chscale, not two.
+        # bn1's d and the directions v lie outside the retained cone
         model, graph, env, loss, _ = small_cnn_loss(model_name)
-        squares = [v for v in graph.nodes if v.op == "mul" and v.parents[0] is v.parents[1]]
+        squares = [v for v in graph.nodes if v.op in ("chdot", "mul")
+                   and v.parents[0] is v.parents[1]]
+        assert {v.op for v in squares} == {"chdot" if model_name == "cnn-bn" else "mul"}
         calls = {v.id: [] for v in squares}
 
         def counted(node, f):
@@ -884,15 +991,14 @@ class TestEdges:
             v.vjps = (f, f)
         ad.backward(loss, retain=channelwise(model, env))
         assert [len(c) for c in calls.values()] == [1, 1]
-        assert [len(c[0]) for c in calls.values()] == recorded
-        assert all(op == "mul" for c in calls.values() for op in c[0])
+        assert [c[0] for c in calls.values()] == recorded
 
 
 class TestRetainedCone:
     def test_a_one_parameter_audit_records_only_its_cone(self, monkeypatch):
         # the verify batch: bn2.gamma's cone leaves out the adjoints upstream
-        # of bn2 that the four BatchNorm parameters' backward records, 90
-        # nodes against 129
+        # of bn2 that the four BatchNorm parameters' backward records, 79
+        # nodes against 110
         sizes = []
         release = ad.Graph.release
 
@@ -960,9 +1066,9 @@ class TestRetainedBackward:
 
     def test_retained_tape_is_bounded(self):
         # distinct base arrays, so a view costs nothing beyond its base. Only
-        # the values a curvature sweep reads stay: 6.0 activations on cnn-bn
-        # and 3.4 on cnn-wn, where keeping those any vjp reads held 9.5 and
-        # 5.5, and keeping every value 23.6 and 11.1
+        # the values a curvature sweep reads stay: 4.0 activations on cnn-bn
+        # and 3.4 on cnn-wn, where keeping those any vjp reads held 5.5 and
+        # 4.5, and keeping every value 17.1 and 11.1
         activation = np.zeros((4, 16, 6, 6), dtype=np.float32).nbytes
         for model_name, bound in (("cnn-bn", 7), ("cnn-wn", 4)):
             _, graph, _, _, _ = small_cnn_tape(model_name)
