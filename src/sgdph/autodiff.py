@@ -29,34 +29,37 @@ adjoint is recorded. No op builds a contribution nobody asked for, and
 none is told which of its parents are admitted.
 
 The primitives do only what the layers ask of them. add, sub and mul take
-operands of equal shape; a layer broadcasts explicitly with reshape and
-broadcast_to, which keeps the rank. The channel pair works along axis 1 of
-an [N,C] or [N,C,H,W] activation: chscale(x, s) scales each channel by one
-entry of the C-vector s, and chdot(x, y) sums x*y over every other axis
-into a C-vector. chscale's vjps are chscale and chdot, and chdot's are two
-chscales, so the pair is closed under differentiation and BatchNorm's
-per-channel scale and variance stay exact to any order without an
-activation-sized product on the tape. matmul takes two matrices. conv2d is
-same-padded with stride 1 and takes an odd kernel. With its kernel adjoint
-conv_w and flip, which turns a kernel half a turn and swaps its channel
-axes, it forms a family closed under differentiation: conv2d's input
-adjoint is conv2d(g, flip(w)), and each of the three has its vjps in the
-family, so a recorded backward through a convolution holds no patch matrix
-and stays exact to any order.
+operands of equal shape; broadcast_to, which keeps the rank, broadcasts
+explicitly. The channel-wise ops work along axis 1 of an [N,C] or
+[N,C,H,W] activation: chshift(x, b) adds entry c of the C-vector b to
+channel c, chscale(x, s) scales each channel by one entry of s, and
+chdot(x, y) sums x*y over every other axis into a C-vector. Every bias and
+BatchNorm shift is a chshift, whose vjps hand the adjoint on to x and sum
+it into a C-vector for b, reading no value. chscale's vjps are chscale and
+chdot, and chdot's are two chscales, so the pair is closed under
+differentiation and BatchNorm's per-channel scale and variance stay exact
+to any order without an activation-sized product on the tape. matmul takes
+two matrices. conv2d is same-padded with stride 1 and takes an odd kernel.
+With its kernel adjoint conv_w and flip, which turns a kernel half a turn
+and swaps its channel axes, it forms a family closed under
+differentiation: conv2d's input adjoint is conv2d(g, flip(w)), and each of
+the three has its vjps in the family, so a recorded backward through a
+convolution holds no patch matrix and stays exact to any order.
 
 A node keeps its value only while a sweep still to run can read it, and
 a sweep reads a value only through an edge it crosses. Each on-tape edge
 names in `reads` the one operand its vjp reads: the other operand for
 mul, matmul, the channel pair and the two convolutions, the input for
 log, and the node's own output for recip, sqrt and exp. The other ops
-read a bool mask (relu), a constant (cmul), shapes only or nothing
-(flip). So once the forward is complete, backward() frees every value
-below the loss that no edge reads. A curvature sweep crosses only the edges into the retained
-leaves' descendant cone, so the values those edges read are `live`, and
-every other value is freed once the retaining sweep has no use left for
-it (the to-be-recorded analysis of Hascoet, Naumann and Pascual, 2005,
-run over the recorded backward). The loss, the leaves, the constants and
-the retained gradients keep theirs.
+read a bool mask (relu), a constant (cmul), shapes only (chshift among
+them) or nothing (flip). So once the forward is complete, backward()
+frees every value below the loss that no edge reads. A curvature sweep
+crosses only the edges into the retained leaves' descendant cone, so the
+values those edges read are `live`, and every other value is freed once
+the retaining sweep has no use left for it (the to-be-recorded analysis
+of Hascoet, Naumann and Pascual, 2005, run over the recorded backward).
+The loss, the leaves, the constants and the retained gradients keep
+theirs.
 
 Tapes are define-by-run and single-use: build a fresh Graph per step.
 """
@@ -358,6 +361,15 @@ def mean_axes(a: Variable, axes: tuple) -> Variable:
     return cmul(sum_axes(a, axes), 1.0 / count)
 
 
+def chshift(x: Variable, b: Variable) -> Variable:
+    """x shifted per channel by the C-vector b, x[:, c] + b[c], for an [N,C]
+    or [N,C,H,W] x (tensor.chshift). Its vjps read no value: g itself for x,
+    handed on as add hands it, and sum_axes(g) over every axis but 1 for b."""
+    value = tensor.chshift(x.value, b.value)
+    axes = (0,) + tuple(range(2, x.value.ndim))
+    return _op(x.graph, value, (x, b), (_pass, lambda g: sum_axes(g, axes)), "chshift")
+
+
 def chscale(x: Variable, s: Variable) -> Variable:
     """x scaled per channel by the C-vector s, x[:, c] * s[c], for an [N,C]
     or [N,C,H,W] x (tensor.chscale). Its vjps are chscale(g, s) for x and
@@ -455,11 +467,11 @@ def _sweep(graph: Graph, root: Variable, reach: set[int],
     adjoint, the operands of its recorded adds and the nodes it appended
     are freed (see _drop), unless a value is live or an adjoint slot still
     holds it, as one does where a vjp hands its adjoint on as its
-    contribution (add, sub, cadd and an identity broadcast_to). Not
-    before: both edges of mul(a, a) read one product. An adjoint handed
-    on into a parent outside `keep` goes into its slot as an off-tape
-    alias of the same array, so that no recorded value outlives its step
-    there. The returned dict holds the adjoints of the parentless nodes
+    contribution (add, sub, cadd, chshift into x and an identity
+    broadcast_to). Not before: both edges of mul(a, a) read one product.
+    An adjoint handed on into a parent outside `keep` goes into its slot
+    as an off-tape alias of the same array, so that no recorded value
+    outlives its step there. The returned dict holds the adjoints of the parentless nodes
     (leaves and constants) only. The graph's recording flag is left as
     the sweep found it."""
     recording = graph.recording

@@ -139,13 +139,17 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def parse_kv_lines(lines, source: str = "<config>") -> dict:
-    """Config-file lines -> field dict; blank lines and # comments skipped."""
-    out = {}
+    """Config-file lines -> field dict; blank lines and # comments skipped.
+    A key given twice is an error, naming both lines."""
+    out, seen = {}, {}
     for lineno, line in enumerate(lines, start=1):
         text = _COMMENT.split(line, 1)[0].strip()
         if text:
             name, value = _parse_item(text, f"{source}:{lineno}")
-            out[name] = value
+            if name in seen:
+                key = text.split("=", 1)[0].strip()
+                raise ConfigError(f"{source}:{lineno}: key {key!r} repeats line {seen[name]}")
+            out[name], seen[name] = value, lineno
     return out
 
 

@@ -72,9 +72,7 @@ class Linear(Layer):
         return [self.weight, self.bias]
 
     def forward_v(self, x, env):
-        y = ad.matmul(x, env[self.weight.name])
-        b = ad.reshape(env[self.bias.name], (1, y.shape[1]))
-        return ad.add(y, ad.broadcast_to(b, y.shape))
+        return ad.chshift(ad.matmul(x, env[self.weight.name]), env[self.bias.name])
 
     def forward_np(self, x, values, training):
         return x @ values[self.weight.name] + values[self.bias.name]
@@ -136,9 +134,7 @@ class WNConv(Layer):
         return ad.mul(ad.broadcast_to(ad.reshape(scale, (cout, 1, 1, 1)), v.shape), v)
 
     def forward_v(self, x, env):
-        y = ad.conv2d(x, self.reparam_v(env))
-        b = ad.reshape(env[self.bias.name], (1, y.shape[1], 1, 1))
-        return ad.add(y, ad.broadcast_to(b, y.shape))
+        return ad.chshift(ad.conv2d(x, self.reparam_v(env)), env[self.bias.name])
 
     def forward_np(self, x, values, training):
         w = wn_reparam_values(values[self.v.name], values[self.gamma.name], self.name)
@@ -179,11 +175,11 @@ class BatchNorm(Layer):
 
     def forward_v(self, x, env):
         self._check_channels(x.shape)
-        axes, keep = self._axes_and_keep(x.value.ndim, self.c)
+        axes, _ = self._axes_and_keep(x.value.ndim, self.c)
         mu = ad.mean_axes(x, axes)
         # x + (-mu), bitwise x - mu: the backward negates the C-vector, where
         # sub would negate a batch-sized adjoint
-        d = ad.add(x, ad.broadcast_to(ad.reshape(ad.neg(mu), keep), x.shape))
+        d = ad.chshift(x, ad.neg(mu))
         var = ad.cmul(ad.chdot(d, d), 1.0 / (x.value.size // self.c))
         # running stats track detached batch statistics
         self.running_mean = (1 - _STAT_MOMENTUM) * self.running_mean + _STAT_MOMENTUM * mu.value
@@ -192,7 +188,7 @@ class BatchNorm(Layer):
         # gamma/sigma folded into one scale per channel: the tape holds no
         # normalized activation
         y = ad.chscale(d, ad.mul(env[self.gamma.name], inv))
-        return ad.add(y, ad.broadcast_to(ad.reshape(env[self.beta.name], keep), x.shape))
+        return ad.chshift(y, env[self.beta.name])
 
     def forward_np(self, x, values, training):
         self._check_channels(x.shape)

@@ -15,8 +15,11 @@ _PATCH_BYTES patch matrix, so the patch matrix is a per-chunk transient,
 never the whole batch's (22.6 MB for conv2's input of a cnn-bn f32 step at
 batch 100), and is never returned. A conv2d with fewer output than input
 channels, as an input adjoint is, also takes at most n*Cout/Cin samples a
-chunk, so its patch matrix never outgrows the transposed convolution's. Every sample's GEMM is the one the
-unchunked call makes, so chunking keeps every bit. Every kernel here is
+chunk, so its patch matrix never outgrows the transposed convolution's.
+Every sample's GEMM is the one the unchunked call makes, so chunking keeps
+every bit. The channel-wise kernels chshift, chscale and chdot apply a
+C-vector along axis 1 of an [N,C] or [N,C,H,W] array, or reduce one into
+it; one check serves the vector of the first two. Every kernel here is
 pure: none writes into an argument.
 """
 
@@ -125,16 +128,28 @@ def _check_channel_layout(op: str, x_shape: tuple) -> None:
         raise ShapeMismatchError(f"{op} needs [N,C] or [N,C,H,W], got {x_shape}")
 
 
+def _along_channels(op: str, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The C-vector v as a [1,C] or [1,C,1,1] array that numpy broadcasts
+    along axis 1 of an [N,C] or [N,C,H,W] x."""
+    _check_channel_layout(op, x.shape)
+    if v.shape != x.shape[1:2]:
+        raise ShapeMismatchError(f"{op} needs a vector of shape ({x.shape[1]},) for "
+                                 f"{x.shape}, got {v.shape}")
+    return v.reshape((1, -1) + (1,) * (x.ndim - 2))
+
+
 def chscale(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     """x scaled per channel, x[:, c] * s[c], for an [N,C] or [N,C,H,W] x
     and a C-vector s."""
     x = np.asarray(x)
-    s = np.asarray(s)
-    _check_channel_layout("chscale", x.shape)
-    if s.shape != x.shape[1:2]:
-        raise ShapeMismatchError(f"chscale needs a scale of shape ({x.shape[1]},) for "
-                                 f"{x.shape}, got {s.shape}")
-    return x * s.reshape((1, -1) + (1,) * (x.ndim - 2))
+    return x * _along_channels("chscale", x, np.asarray(s))
+
+
+def chshift(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x shifted per channel, x[:, c] + b[c], for an [N,C] or [N,C,H,W] x
+    and a C-vector b."""
+    x = np.asarray(x)
+    return x + _along_channels("chshift", x, np.asarray(b))
 
 
 def chdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:

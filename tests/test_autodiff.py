@@ -84,10 +84,16 @@ def chdot_np(x, y):
     return np.sum(x * y, axis=tuple(i for i in range(x.ndim) if i != 1))
 
 
-# each op of the channel pair, and chdot's square: its tape builder, its
-# numpy reference, and its operands out of two activations x and y and a
-# C-vector s
+def chshift_np(x, b):
+    """x[:, c] + b[c], channels on axis 1."""
+    return np.moveaxis(np.moveaxis(x, 1, -1) + b, -1, 1)
+
+
+# each channel-wise op, and chdot's square: its tape builder, its numpy
+# reference, and its operands out of two activations x and y and the
+# C-vectors s and b
 CHANNEL_PAIR = {
+    "chshift": (ad.chshift, chshift_np, ("x", "b")),
     "chscale": (ad.chscale, chscale_np, ("x", "s")),
     "chdot": (ad.chdot, chdot_np, ("x", "y")),
     "chdot_square": (lambda x: ad.chdot(x, x), lambda x: chdot_np(x, x), ("x",)),
@@ -112,9 +118,21 @@ def assert_vjp_matches_fd(ad_op, np_op, operands, arg):
     np.testing.assert_allclose(g, fd_grad(f, operands[arg], h=1e-5), rtol=0, atol=1e-6)
 
 
+def assert_row_sums_match_fd(build, s0, h=1e-5):
+    """The curvature H @ 1 of build(leaf) at s0, against central differences
+    of the summed gradient."""
+    rows = np.zeros(s0.size)
+    for i in range(s0.size):
+        sp, sm = s0.copy(), s0.copy()
+        sp[i] += h
+        sm[i] -= h
+        rows[i] = np.sum(grad_of(build, sp) - grad_of(build, sm)) / (2 * h)
+    np.testing.assert_allclose(hdiag_of(build, s0), rows, rtol=1e-7, atol=1e-7)
+
+
 def channel_operands(names, layout, dtype, seed):
     rng = Rng(seed)
-    shapes = {"x": CHANNEL_LAYOUTS[layout], "y": CHANNEL_LAYOUTS[layout], "s": (3,)}
+    shapes = {"x": CHANNEL_LAYOUTS[layout], "y": CHANNEL_LAYOUTS[layout], "s": (3,), "b": (3,)}
     return [rng.normal(shapes[name]).astype(dtype) for name in names]
 
 
@@ -226,15 +244,22 @@ class TestChannelPair:
                          ad.chscale(graph.constant(y0), ad.mul(p, p)))
             return ad.sum_all(ad.mul(t, t))
 
-        s0 = np.array([0.7, -1.1, 0.4])
-        h = 1e-5
-        rows = np.zeros(3)
-        for i in range(3):
-            sp, sm = s0.copy(), s0.copy()
-            sp[i] += h
-            sm[i] -= h
-            rows[i] = np.sum(grad_of(build, sp) - grad_of(build, sm)) / (2 * h)
-        np.testing.assert_allclose(hdiag_of(build, s0), rows, rtol=1e-7, atol=1e-7)
+        assert_row_sums_match_fd(build, np.array([0.7, -1.1, 0.4]))
+
+    @pytest.mark.parametrize("layout", CHANNEL_LAYOUTS)
+    def test_curvature_through_the_shift_vs_fd_of_gradient(self, layout):
+        # L(s) = sum(chdot(chshift(chscale(x, s), s*s), chshift(y, s))^2):
+        # the shift's vjp into s, a sum over the batch, is differentiated
+        # once more, and so is the adjoint it hands on to the scale
+        x0, y0 = channel_operands(("x", "y"), layout, np.float64, 23)
+
+        def build(p):
+            graph = p.graph
+            t = ad.chdot(ad.chshift(ad.chscale(graph.constant(x0), p), ad.mul(p, p)),
+                         ad.chshift(graph.constant(y0), p))
+            return ad.sum_all(ad.mul(t, t))
+
+        assert_row_sums_match_fd(build, np.array([0.7, -1.1, 0.4]))
 
     def test_shape_errors(self):
         graph = ad.Graph()
@@ -248,6 +273,10 @@ class TestChannelPair:
             ad.chdot(x3, x3)
         with pytest.raises(ShapeMismatchError, match=r"\(2, 3, 4, 5\) and \(2, 3, 4, 4\)"):
             ad.chdot(x, graph.variable(np.ones((2, 3, 4, 4))))
+        with pytest.raises(ShapeMismatchError, match=r"chshift.*\(2, 3, 4\)"):
+            ad.chshift(x3, graph.variable(np.ones(3)))
+        with pytest.raises(ShapeMismatchError, match=r"chshift.*\(3,\).*\(4,\)"):
+            ad.chshift(x, graph.variable(np.ones(4)))
 
 
 class TestSecondSweep:
@@ -526,6 +555,9 @@ class TestAdjointLifetime:
         # few activation-sized arrays at a time rather than every one it built
         _, _, env, loss, _ = small_cnn_tape("cnn-bn")
         activation = np.zeros((4, 16, 6, 6), dtype=np.float32).nbytes
+        # the earlier tests' garbage goes before the window opens, as in
+        # test_retaining_backward_peak_memory_is_bounded
+        gc.collect()
         tracemalloc.start()
         try:
             ad.hessian_diag_1d(loss, env["bn1.gamma"])
@@ -647,8 +679,8 @@ ACT, KERNEL = (2, 2, 5, 5), (2, 2, 3, 3)
 
 
 def per_channel(v):
-    """A 1-D leaf or channel mean broadcast over an activation, as BatchNorm
-    does it."""
+    """A 1-D leaf or channel mean broadcast over an activation by reshape
+    and broadcast_to."""
     return ad.broadcast_to(ad.reshape(v, (1, ACT[1], 1, 1)), ACT)
 
 
@@ -677,6 +709,8 @@ RANDOM_OPS = {
     "mean": lambda a, b, k, gb: ad.sub(a, per_channel(ad.mean_axes(a, (0, 2, 3)))),
     "batchnorm": lambda a, b, k, gb: ad.add(ad.mul(a, per_channel(gb[0])), per_channel(gb[1])),
     "chscale": lambda a, b, k, gb: ad.chscale(a, gb[0]),
+    "chshift": lambda a, b, k, gb: ad.chshift(a, gb[1]),
+    "centre": lambda a, b, k, gb: ad.chshift(a, ad.neg(ad.mean_axes(a, (0, 2, 3)))),
     "chdot": lambda a, b, k, gb: ad.chscale(b, ad.chdot(a, b)),
     "chdot_square": lambda a, b, k, gb: ad.chscale(b, ad.chdot(a, a)),
     "conv2d": lambda a, b, k, gb: ad.conv2d(a, k),
@@ -793,6 +827,7 @@ SAVES = {
     "matmul": (lambda a, b: ad.matmul(a, b), {"a", "b"}),
     "chscale": (lambda a, b: ad.chscale(a, b), {"a", "b"}),
     "chdot": (lambda a, b: ad.chdot(a, b), {"a", "b"}),
+    "chshift": (lambda a, b: ad.chshift(a, b), set()),
     "conv2d": (lambda a, b: ad.conv2d(a, b), {"a", "b"}),
     "conv_w": (lambda a, b: ad.conv_w(a, b, 3, 3), {"a", "b"}),
     "recip": (lambda a, b: ad.recip(a), {"out"}),
@@ -811,7 +846,7 @@ SAVES = {
     "sum": (lambda a, b: ad.sum_axes(a, (0,)), set()),
 }
 SAVES_SHAPES = {"matmul": ((2, 3), (3, 2)), "broadcast": ((1, 3), (1, 3)),
-                "chscale": ((2, 3), (3,)),
+                "chscale": ((2, 3), (3,)), "chshift": ((2, 3), (3,)),
                 "conv2d": ((2, 2, 5, 5), (3, 2, 3, 3)), "conv_w": ((2, 2, 5, 5), (2, 3, 5, 5)),
                 "flip": ((3, 2, 3, 3), (3, 2, 3, 3))}
 
@@ -932,6 +967,7 @@ class TestTapeAfterTheBackward:
             return grads
 
         monkeypatch.setattr(ad, "backward", spy)
+        gc.collect()
         tracemalloc.start()
         try:
             with nn.taped_batch(model, x, labels, "ce", one_d) as (_, _, _, hdiags):
@@ -1070,10 +1106,42 @@ class TestRetainedBackward:
         # and 3.4 on cnn-wn, where keeping those any vjp reads held 5.5 and
         # 4.5, and keeping every value 17.1 and 11.1
         activation = np.zeros((4, 16, 6, 6), dtype=np.float32).nbytes
-        for model_name, bound in (("cnn-bn", 7), ("cnn-wn", 4)):
+        for model_name, bound in (("cnn-bn", 5), ("cnn-wn", 4)):
             _, graph, _, _, _ = small_cnn_tape(model_name)
             bases = {id(a): a.nbytes for a in (owning_base(v.value) for v in graph.nodes)}
             assert sum(bases.values()) / activation <= bound, model_name
+
+
+def batch_100_tape(model_name):
+    """The f32 batch-100 tape of a model: the ops of its forward nodes and
+    the number of nodes the retaining backward of its 1-D leaves records."""
+    cnn = model_name.startswith("cnn")
+    in_shape = (1, 28, 28) if cnn else (2,)
+    model = nn.build_model(model_name, Rng(0), in_shape=in_shape, n_classes=10,
+                           dtype=np.float32)
+    graph = ad.Graph()
+    env = model.bind(graph)
+    y = model.forward_v(graph.constant(Rng(1).normal((100,) + in_shape).astype(np.float32)), env)
+    loss = nn.softmax_cross_entropy(y, Rng(2).integers(0, 10, (100,)))
+    forward = [v.op for v in graph.nodes]
+    ad.backward(loss, retain=channelwise(model, env))
+    return forward, len(graph.nodes) - len(forward)
+
+
+class TestLayerTapes:
+    # model, then its forward's chshift, reshape and broadcast nodes, and its
+    # forward and recorded node counts
+    @pytest.mark.parametrize("model_name, ops, nodes", [("mlp-bn", (4, 0, 0), (33, 20)),
+                                                        ("cnn-bn", (5, 1, 0), (49, 45)),
+                                                        ("cnn-wn", (3, 3, 2), (43, 35))])
+    def test_every_channel_vector_meets_its_activation_through_chshift(self, model_name, ops,
+                                                                       nodes):
+        # each bias, BatchNorm's centring and its shift are one chshift each,
+        # with no reshape or broadcast: Flatten's is a CNN's one reshape, and
+        # only the weight norm broadcasts, a scale over each kernel
+        forward, recorded = batch_100_tape(model_name)
+        assert tuple(forward.count(op) for op in ("chshift", "reshape", "broadcast")) == ops
+        assert (len(forward), recorded) == nodes
 
 
 class TestTrainingScale:

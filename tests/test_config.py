@@ -64,6 +64,12 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"cfg:2: unknown config key 'lr'"):
             parse_kv_lines(["epochs=1", "lr=0.1"], source="cfg")
 
+    def test_a_repeated_key_names_both_lines(self):
+        with pytest.raises(ConfigError, match=r"cfg:3: key 'tau' repeats line 1"):
+            parse_kv_lines(["tau = 0.1", "epochs = 2", "tau = 0.2"], source="cfg")
+        with pytest.raises(ConfigError, match=r"<config>:2: key 'dataset.noise' repeats line 1"):
+            parse_kv_lines(["dataset.noise = 0.5", "dataset.noise=1.0  # noisier"])
+
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match="expected key=value"):
             parse_kv_lines(["epochs 5"])
@@ -92,6 +98,12 @@ class TestLoadConfig:
         assert cfg.tau == 0.25
         assert cfg.dataset_n == 64
         assert cfg.seed == 9
+
+    def test_overrides_win_over_the_file_and_over_each_other(self, tmp_path):
+        # a repeat is an error inside a file only: --set exists to replace
+        path = tmp_path / "run.cfg"
+        path.write_text("tau = 0.5\n", encoding="utf-8")
+        assert load_config(str(path), ["tau=0.25", "tau=0.125"]).tau == 0.125
 
     def test_config_from_overrides(self):
         cfg = load_config("", ["optimizer=sgdm", "dataset.classes=3"])
