@@ -55,11 +55,12 @@ read a bool mask (relu), a constant (cmul), shapes only (chshift among
 them) or nothing (flip). So once the forward is complete, backward()
 frees every value below the loss that no edge reads. A curvature sweep
 crosses only the edges into the retained leaves' descendant cone, so the
-values those edges read are `live`, and every other value is freed once
-the retaining sweep has no use left for it (the to-be-recorded analysis
-of Hascoet, Naumann and Pascual, 2005, run over the recorded backward).
-The loss, the leaves, the constants and the retained gradients keep
-theirs.
+values those edges read are `live` (the to-be-recorded analysis of
+Hascoet, Naumann and Pascual, 2005, run over the recorded backward). The
+first sweep then frees every other value by one rule: when its step is
+done, or as the sweep passes a node it never reaches. The loss, the
+leaves, the constants and the retained gradients keep theirs, and with
+nothing retained nothing else does.
 
 Tapes are define-by-run and single-use: build a fresh Graph per step.
 """
@@ -431,8 +432,8 @@ def _iadd(prev: Variable, c: Variable) -> Variable:
     return prev
 
 
-def _sweep(graph: Graph, root: Variable, reach: set[int],
-           keep: set[int] = frozenset(), live: set[int] | None = None) -> dict[int, Variable]:
+def _sweep(root: Variable, reach: set[int], keep: set[int] = frozenset(),
+           live: set[int] | None = None) -> dict[int, Variable]:
     """Reverse accumulation of d(sum root)/d(node) from a ones seed at root.
     Visits recorded nodes in strictly decreasing id order, so every tape
     edge receives at most one adjoint contribution. The sweep walks a
@@ -459,21 +460,23 @@ def _sweep(graph: Graph, root: Variable, reach: set[int],
     tracked by id); a first contribution may be a view of another array or
     the adjoint itself, so it is never written into.
 
-    A sweep that records fills in `live`: the ids of the values read by
+    A sweep given `live` fills it in with the ids of the values read by
     edges into `keep`, the only edges a curvature sweep crosses. It adds
     each such edge's read as it crosses the edge, and after each step it
     extends `keep` over the nodes the step appended and adds the reads of
-    their edges into `keep`. Once a step of a node in `keep` is done, its
-    adjoint, the operands of its recorded adds and the nodes it appended
-    are freed (see _drop), unless a value is live or an adjoint slot still
-    holds it, as one does where a vjp hands its adjoint on as its
-    contribution (add, sub, cadd, chshift into x and an identity
-    broadcast_to). Not before: both edges of mul(a, a) read one product.
-    An adjoint handed on into a parent outside `keep` goes into its slot
-    as an off-tape alias of the same array, so that no recorded value
-    outlives its step there. The returned dict holds the adjoints of the parentless nodes
-    (leaves and constants) only. The graph's recording flag is left as
-    the sweep found it."""
+    their edges into `keep`. Every value a later step of this sweep reads
+    belongs to that step's node or to its parents, which have lower ids,
+    so once a step is done its node, its adjoint, every adjoint an add
+    replaced and the nodes it appended are freed (see _drop), and a node
+    the sweep never reaches is freed as the sweep passes its id. Not
+    before: both edges of mul(a, a) read one product. A value is kept if
+    it is live, has no parents, or an adjoint slot still holds it, as one
+    does where a vjp hands its adjoint on as its contribution (add, sub,
+    cadd, chshift into x and an identity broadcast_to). A sweep without
+    `live` frees nothing. The returned dict holds the adjoints of the
+    parentless nodes (leaves and constants) only. The graph's recording
+    flag is left as the sweep found it."""
+    graph = root.graph
     recording = graph.recording
     graph.recording = root.id in keep
     nodes = graph.nodes
@@ -482,16 +485,15 @@ def _sweep(graph: Graph, root: Variable, reach: set[int],
         slots = adj.values()  # a view: what the adjoint slots hold now
         summed = set()  # off-tape parents whose adjoint an add of this sweep built
         for nid in range(root.id, -1, -1):
-            g = adj.get(nid)
-            if g is None:
-                continue
             node = nodes[nid]
             if not node.parents:
                 continue
-            del adj[nid]
-            recorded = nid in keep
-            if recorded:
-                spent, start = [g], len(nodes)
+            g = adj.pop(nid, None)
+            if g is None:  # never reached: no step of this sweep reads it
+                if live is not None:
+                    _drop(graph, (node,), live)
+                continue
+            spent, start = [node, g], len(nodes)
             last = None
             for p, f, r in zip(node.parents, node.vjps, node.reads):
                 pid = p.id
@@ -505,40 +507,38 @@ def _sweep(graph: Graph, root: Variable, reach: set[int],
                 prev = adj.get(pid)
                 if prev is None:
                     adj[pid] = c
-                    if c is g and recorded and not on_tape:  # handed out of `keep`:
-                        adj[pid] = graph.constant(g.value)  # an off-tape alias
-                elif on_tape:
-                    adj[pid] = add(prev, c)
-                    spent.append(prev)
                 elif pid in summed:
                     adj[pid] = _iadd(prev, c)
                 else:
                     adj[pid] = add(prev, c)
-                    summed.add(pid)
-            if recorded:
-                built = nodes[start:]
-                for v in built:
-                    for q, r in zip(v.parents, v.reads):
-                        if q.id in keep:
-                            keep.add(v.id)
-                            if r is not None:
-                                live.add(r.id)
-                _drop(graph, [v for v in spent + built if v.id not in live and v not in slots])
+                    spent.append(prev)
+                    if not on_tape:
+                        summed.add(pid)
+            for v in nodes[start:]:  # the nodes the step recorded
+                spent.append(v)
+                for q, r in zip(v.parents, v.reads):
+                    if q.id in keep:
+                        keep.add(v.id)
+                        if r is not None:
+                            live.add(r.id)
+            if live is not None:
+                _drop(graph, spent, live, slots)
     finally:
         graph.recording = recording
     return adj
 
 
-def _drop(graph: Graph, nodes) -> None:
-    """Frees the value of every node in `nodes` that has parents. The value
-    is rebound to a zero-strided view of the read-only NaN of its dtype: it
+def _drop(graph: Graph, nodes, needed: set[int], slots=()) -> None:
+    """Frees the value of every node in `nodes` that has parents, unless
+    `needed` holds its id or `slots` holds the node itself. The value is
+    rebound to a zero-strided view of the read-only NaN of its dtype: it
     keeps the node's shape and dtype, owns no data, raises on a write and
     turns any stray read into NaN. Being read-only, one such view serves
     every freed value of its shape and dtype, and the graph keeps it for
     the next call. A value of another dtype is kept."""
     views = graph.nan_views
     for v in nodes:
-        if not v.parents:
+        if not v.parents or v.id in needed or v in slots:
             continue
         a = v.value
         key = a.shape, a.dtype
@@ -580,12 +580,10 @@ def backward(loss: Variable, retain: Sequence[Variable] = ()) -> dict[int, np.nd
     leaf of the loss's graph raises MissingDifferentiableGraphError.
 
     A sweep reads only the values that an edge reads, so once the forward
-    is complete every other value below the loss is freed. With `retain`
-    non-empty, the sweep frees what it records as it goes (see _sweep),
-    and after it every forward value that is not live goes, bar the loss:
-    a value read after backward() returns may be NaN. With `retain` empty
-    only the first drop runs, and every value an edge reads keeps its
-    data."""
+    is complete every other value below the loss is freed. The sweep then
+    frees each value when its step is done, bar those a curvature sweep
+    reads (see _sweep), so with `retain` empty every value below the loss
+    goes: a value read after backward() returns may be NaN."""
     graph = loss.graph
     if loss.value.size != 1:
         raise NonScalarLossError(f"loss must be a scalar, got shape {loss.shape}")
@@ -599,16 +597,14 @@ def backward(loss: Variable, retain: Sequence[Variable] = ()) -> dict[int, np.nd
     leaves = [node for node in graph.nodes if node.op == "leaf"]
     keep = _cone(graph, retain, loss.id)
     read = {r.id for v in graph.nodes for r in v.reads if r is not None}
-    _drop(graph, [v for v in graph.nodes[:loss.id] if v.id not in read])  # the forward is done
-    live = set()  # what a curvature sweep reads: _sweep fills it in
-    adj = _sweep(graph, loss, _cone(graph, leaves, loss.id), keep, live)
+    _drop(graph, graph.nodes[:loss.id], read)  # the forward is done
+    live = {loss.id}  # the loss, and what a curvature sweep reads: _sweep fills it in
+    adj = _sweep(loss, _cone(graph, leaves, loss.id), keep, live)
     grads: dict[int, np.ndarray] = {}
     for node in leaves:
         a = adj.get(node.id)
         grads[node.id] = np.zeros_like(node.value) if a is None else a.value.copy()
     graph.retained = {v.id: adj.get(v.id) for v in retain}
-    if retain:  # no curvature sweep reads the rest
-        _drop(graph, [v for v in graph.nodes[:loss.id] if v.id in read and v.id not in live])
     return grads
 
 
@@ -630,6 +626,6 @@ def hessian_diag_1d(loss: Variable, p: Variable) -> np.ndarray:
     g_p = graph.retained[p.id]
     if g_p is None:
         return np.zeros_like(p.value)
-    adj = _sweep(graph, g_p, _cone(graph, [p], g_p.id))
+    adj = _sweep(g_p, _cone(graph, [p], g_p.id))
     a = adj.get(p.id)
     return np.zeros_like(p.value) if a is None else np.array(a.value)

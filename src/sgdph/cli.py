@@ -109,7 +109,7 @@ def _cmd_verify(args) -> int:
     reports = []
     passed = True
     for name in one_d:
-        rep = oracle.diagonality_report(model, x, name, h, loss, labels, extracted[name])
+        rep = oracle.diagonality_report(model, x, name, extracted[name], h, loss, labels)
         ok = rep.extracted_vs_rowsum_relerr <= ROWSUM_TOL
         entry = dataclasses.asdict(rep)
         entry["rowsum_ok"] = ok

@@ -61,6 +61,9 @@ class RunConfig:
             raise ConfigError(f"dataset.kind must be blobs or idx, got {self.dataset_kind!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
+        if self.dataset_subset_n < 0:  # 0 keeps every example
+            raise ConfigError(
+                f"dataset.subset_n must be 0 or positive, got {self.dataset_subset_n}")
         if not self.eps > 0:
             raise ConfigError(f"eps must be positive in training configs, got {self.eps}")
         if not 0 < self.lr_decay_factor <= 1:

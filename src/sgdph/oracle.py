@@ -285,19 +285,16 @@ class DiagonalityReport:
     extracted_vs_rowsum_relerr: float
 
 
-def diagonality_report(model: nn.Model, x: np.ndarray, name: str,
+def diagonality_report(model: nn.Model, x: np.ndarray, name: str, extracted: np.ndarray,
                        h: float = FD_STEP, loss: str = "sos",
-                       labels=None, extracted=None) -> DiagonalityReport:
+                       labels=None) -> DiagonalityReport:
     """Quantifies how diagonal a 1-D parameter's true Hessian block is, and
-    how closely the tape extraction matches the block's row sums. The
-    extraction always equals the row sums; it equals the diagonal only when
-    the off-diagonal mass vanishes (terminal-layer configurations).
-    `extracted` is the tape's curvature of `name` where the caller has it
-    already; tape_hdiag computes it otherwise."""
+    how closely `extracted`, the tape's curvature of `name` (tape_hdiag),
+    matches the block's row sums. The extraction always equals the row
+    sums; it equals the diagonal only when the off-diagonal mass vanishes
+    (terminal-layer configurations)."""
     lossfn = model_lossfn(model, x, loss, labels)
     block = fd_hessian_block_1d(lossfn, model.values(), name, h)
-    if extracted is None:
-        extracted = tape_hdiag(model, x, name, loss, labels)
     diag = np.diag(block)
     off = block - np.diag(diag)
     rowsums = block.sum(axis=1)

@@ -440,7 +440,7 @@ def full_mask_hdiag(graph, p):
     for v in graph.nodes:
         if v.op == "leaf" or any(q.id in admitted for q in v.parents):
             admitted.add(v.id)
-    adj = ad._sweep(graph, graph.retained[p.id], admitted)
+    adj = ad._sweep(graph.retained[p.id], admitted)
     return np.array(adj[p.id].value)
 
 
@@ -543,8 +543,8 @@ class TestAdjointLifetime:
         p, g_p = env["bn1.gamma"], graph.retained[env["bn1.gamma"].id]
         leaves = [v for v in graph.nodes if v.op == "leaf"]
         sweeps = [
-            ad._sweep(graph, loss, ad._cone(graph, leaves, loss.id)),
-            ad._sweep(graph, g_p, ad._cone(graph, [p], g_p.id)),
+            ad._sweep(loss, ad._cone(graph, leaves, loss.id)),
+            ad._sweep(g_p, ad._cone(graph, [p], g_p.id)),
         ]
         for adj in sweeps:
             assert p.id in adj
@@ -783,6 +783,19 @@ class TestRandomTapes:
                         + [ad.hessian_diag_1d(loss, p).tobytes() for p in one_d])
         assert runs[0] == runs[1]
 
+    @given(st.lists(st.tuples(st.sampled_from(sorted(RANDOM_OPS)),
+                              st.integers(0, 63), st.integers(0, 63)), min_size=1, max_size=16),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_no_value_that_no_sweep_reads_outlives_the_backward(self, program, seed):
+        # after a retaining backward only the values a curvature sweep reads,
+        # the loss and the retained gradients keep their data
+        graph, loss, one_d = random_tape(program, seed, np.float32)
+        ad.backward(loss, retain=one_d)
+        kept = read_by_the_sweeps(graph, one_d) | {loss} | set(graph.retained.values())
+        held = [v for v in graph.nodes if v.parents and v not in kept and not is_freed(v.value)]
+        assert not held, held
+
 
 def captured_by(f):
     """The Variables that one vjp holds in its closure."""
@@ -817,6 +830,12 @@ def owning_base(a):
     while isinstance(a.base, np.ndarray):
         a = a.base
     return a
+
+
+def is_freed(a):
+    """Whether `a` is what _drop leaves: a zero-strided, read-only NaN view."""
+    return (a.strides == (0,) * a.ndim and not a.flags.owndata and not a.flags.writeable
+            and bool(np.isnan(a).all()))
 
 
 # op -> its builder over operands a and b, and the names among a, b and its
@@ -895,11 +914,9 @@ class TestSavedValues:
                 assert base.flags.owndata and np.isfinite(v.value).all(), v
                 continue
             dropped += 1
-            a = v.value
-            assert a.strides == (0,) * a.ndim and not a.flags.owndata
-            assert not a.flags.writeable and np.isnan(a).all(), v
+            assert is_freed(v.value), v
             with pytest.raises(ValueError, match="read-only"):
-                a[...] = 0
+                v.value[...] = 0
         assert dropped > len(graph.nodes) // 2
         # the curvature sweeps read only kept values, so every vector is finite
         for p in model.parameters():
@@ -921,35 +938,40 @@ def small_loss(model_name, dtype):
 
 
 class TestTapeAfterTheBackward:
+    @pytest.mark.parametrize("retain", [True, False])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("model_name", ["cnn-bn", "cnn-wn", "mlp-bn"])
-    def test_freeing_the_unread_values_keeps_every_bit(self, model_name, dtype, monkeypatch):
+    def test_freeing_the_unread_values_keeps_every_bit(self, model_name, dtype, retain,
+                                                       monkeypatch):
         runs = []
         for prune in (True, False):
             if not prune:
                 monkeypatch.setattr(ad, "_drop", lambda *args: None)
             model, env, loss = small_loss(model_name, dtype)
-            runs.append(grads_and_curvature(loss.graph, loss, channelwise(model, env)))
+            one_d = channelwise(model, env) if retain else []
+            runs.append(grads_and_curvature(loss.graph, loss, one_d))
         lean, full = runs
-        assert len(lean) == len(env) + len(channelwise(model, env)) and lean == full
+        assert len(lean) == len(env) + len(one_d) and lean == full
 
     @pytest.mark.parametrize("model_name", ["cnn-bn", "cnn-wn", "mlp-bn"])
-    def test_without_retain_every_saved_value_keeps_its_data(self, model_name):
-        # sgdm's backward: no curvature sweep follows, so only the values no
-        # edge reads are freed, before the sweep
+    def test_without_retain_no_value_keeps_its_data(self, model_name):
+        # sgdm's backward: no curvature sweep follows, so each value goes
+        # once the step that reads it last is done
         _, env, loss = small_loss(model_name, np.float32)
         graph = loss.graph
         ad.backward(loss)
-        read = read_values(graph)
-        assert read and len(graph.nodes) == loss.id + 1
-        for v in read:
-            assert owning_base(v.value).flags.owndata and np.isfinite(v.value).all(), v
+        assert len(graph.nodes) == loss.id + 1
+        below = [v for v in graph.nodes[:loss.id] if v.parents]
+        assert below and all(is_freed(v.value) for v in below)
+        assert np.isfinite(loss.value)
 
-    def test_the_retaining_backward_sets_the_step_peak(self, monkeypatch):
-        # cnn-bn f32 at batch 100, by tracemalloc: once the values no sweep
-        # reads are gone, the curvature sweeps over the 12.8 MiB tape peak at
-        # 38.3 MiB, below the recorded backward's 40.6 MiB; over the 19.9 MiB
-        # tape that kept every value an edge reads they peaked at 45.4
+    def test_the_recorded_backward_peaks_at_the_forward(self, monkeypatch):
+        # cnn-bn f32 at batch 100, by tracemalloc: the forward and the
+        # recorded backward peak at 37.7 MiB, since each value goes when its
+        # step is done (40.6 while the values no curvature sweep reads lived
+        # to the end of the sweep); the curvature sweeps over the 12.8 MiB
+        # tape peak at 38.3 MiB, and over the 19.9 MiB tape that kept every
+        # value an edge reads they peaked at 45.4
         model = nn.build_model("cnn-bn", Rng(0), in_shape=(1, 28, 28), n_classes=10,
                                dtype=np.float32)
         x = Rng(1).normal((100, 1, 28, 28)).astype(np.float32)
@@ -977,6 +999,7 @@ class TestTapeAfterTheBackward:
         assert len(hdiags) == 4 and len(peaks) == 3
         forward, recorded, sweeps = peaks
         assert max(forward, sweeps) <= recorded + 2**20, [p / 2**20 for p in peaks]
+        assert recorded <= forward + 2**20, [p / 2**20 for p in peaks]
 
 
 class TestEdges:

@@ -280,6 +280,7 @@ class TestValidation:
         ({"lr_decay_factor": 1.5}, "lr_decay_factor"),
         # 0.01 * 0.1**322 underflows to 0.0
         ({"epochs": 400, "lr_decay_every": 1}, r"decays tau by epoch 399: tau must be positive"),
+        ({"dataset_subset_n": -3}, "dataset.subset_n"),
     ])
     def test_rejected_fields(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):

@@ -395,7 +395,8 @@ class TestDiagonalityReport:
         x = Rng(1).normal((16, 5))
         # terminal-BN + sum-of-squares is exactly quadratic in gamma, so a
         # large step is exact where a small one drowns in roundoff
-        rep = oracle.diagonality_report(model, x, "bn1.gamma", h=0.25)
+        extracted = oracle.tape_hdiag(model, x, "bn1.gamma")
+        rep = oracle.diagonality_report(model, x, "bn1.gamma", extracted, h=0.25)
         assert rep.parameter == "bn1.gamma" and rep.c == 6
         assert rep.max_abs_offdiag <= 1e-8 * (1.0 + rep.max_abs_diag)
         assert rep.extracted_vs_rowsum_relerr <= 1e-9
@@ -406,7 +407,9 @@ class TestDiagonalityReport:
         model = nets.mlp_bn2(Rng(2), in_shape=(4,), n_classes=3)
         x = Rng(3).normal((10, 4))
         labels = Rng(4).integers(0, 3, (10,))
-        rep = oracle.diagonality_report(model, x, "bn1.gamma", loss="ce", labels=labels)
+        extracted = oracle.tape_hdiag(model, x, "bn1.gamma", "ce", labels)
+        rep = oracle.diagonality_report(model, x, "bn1.gamma", extracted, loss="ce",
+                                        labels=labels)
         assert rep.extracted_vs_rowsum_relerr <= 1e-5
         assert rep.offdiag_mass_ratio > 0.01
 
