@@ -28,7 +28,7 @@ parents[i] is admitted, with recording on exactly when parents[i]'s
 adjoint is recorded. No op builds a contribution nobody asked for, and
 none is told which of its parents are admitted.
 
-The primitives do only what the layers ask of them. add, sub and mul take
+The primitives do only what the layers ask of them. add and mul take
 operands of equal shape; broadcast_to, which keeps the rank, broadcasts
 explicitly. The channel-wise ops work along axis 1 of an [N,C] or
 [N,C,H,W] activation: chshift(x, b) adds entry c of the C-vector b to
@@ -243,15 +243,6 @@ def add(a: Variable, b: Variable) -> Variable:
     return _op(a.graph, a.value + b.value, (a, b), (_pass, _pass), "add")
 
 
-def sub(a: Variable, b: Variable) -> Variable:
-    _same_shape("sub", a, b)
-    return _op(a.graph, a.value - b.value, (a, b), (_pass, neg), "sub")
-
-
-def neg(a: Variable) -> Variable:
-    return _op(a.graph, -a.value, (a,), (neg,), "neg")
-
-
 def mul(a: Variable, b: Variable) -> Variable:
     _same_shape("mul", a, b)
     if a is b:  # both contributions are g*a: one function, so it is built once
@@ -265,7 +256,7 @@ def mul(a: Variable, b: Variable) -> Variable:
 
 def recip(a: Variable) -> Variable:
     out = _op(a.graph, elementwise("recip", a.value), (a,), (), "recip")
-    return _reads_itself(out, lambda g: neg(mul(g, mul(out, out))))
+    return _reads_itself(out, lambda g: cmul(mul(g, mul(out, out)), -1.0))
 
 
 def cadd(a: Variable, c) -> Variable:
@@ -353,13 +344,6 @@ def sum_axes(a: Variable, axes: tuple) -> Variable:
 
 def sum_all(a: Variable) -> Variable:
     return sum_axes(a, tuple(range(a.value.ndim))) if a.value.ndim else a
-
-
-def mean_axes(a: Variable, axes: tuple) -> Variable:
-    count = 1
-    for ax in axes:
-        count *= a.shape[ax]
-    return cmul(sum_axes(a, axes), 1.0 / count)
 
 
 def chshift(x: Variable, b: Variable) -> Variable:
@@ -471,8 +455,8 @@ def _sweep(root: Variable, reach: set[int], keep: set[int] = frozenset(),
     the sweep never reaches is freed as the sweep passes its id. Not
     before: both edges of mul(a, a) read one product. A value is kept if
     it is live, has no parents, or an adjoint slot still holds it, as one
-    does where a vjp hands its adjoint on as its contribution (add, sub,
-    cadd, chshift into x and an identity broadcast_to). A sweep without
+    does where a vjp hands its adjoint on as its contribution (add, cadd,
+    chshift into x and an identity broadcast_to). A sweep without
     `live` frees nothing. The returned dict holds the adjoints of the
     parentless nodes (leaves and constants) only. The graph's recording
     flag is left as the sweep found it."""
@@ -582,8 +566,11 @@ def backward(loss: Variable, retain: Sequence[Variable] = ()) -> dict[int, np.nd
     A sweep reads only the values that an edge reads, so once the forward
     is complete every other value below the loss is freed. The sweep then
     frees each value when its step is done, bar those a curvature sweep
-    reads (see _sweep), so with `retain` empty every value below the loss
-    goes: a value read after backward() returns may be NaN."""
+    reads (see _sweep). A recorded adjoint that a vjp handed on as it is
+    into a leaf outside the retained cone goes once the gradients are
+    copied, unless it is live or a retained gradient. So with `retain`
+    empty every value below the loss goes: a value read after backward()
+    returns may be NaN."""
     graph = loss.graph
     if loss.value.size != 1:
         raise NonScalarLossError(f"loss must be a scalar, got shape {loss.shape}")
@@ -605,6 +592,8 @@ def backward(loss: Variable, retain: Sequence[Variable] = ()) -> dict[int, np.nd
         a = adj.get(node.id)
         grads[node.id] = np.zeros_like(node.value) if a is None else a.value.copy()
     graph.retained = {v.id: adj.get(v.id) for v in retain}
+    # an adjoint that a vjp handed on into a leaf's slot, now copied
+    _drop(graph, adj.values(), live, graph.retained.values())
     return grads
 
 

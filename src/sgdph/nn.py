@@ -23,6 +23,8 @@ from .tensor import Rng, ShapeMismatchError, conv2d as conv2d_np, moments
 NORM_FLOOR = 1e-12
 # weight of the new batch statistic in the running-statistics update
 _STAT_MOMENTUM = 0.1
+# added to BatchNorm's variance before its square root
+EPS_BN = 1e-5
 
 
 class LabelRangeError(ValueError):
@@ -137,8 +139,9 @@ class WNConv(Layer):
         return ad.chshift(ad.conv2d(x, self.reparam_v(env)), env[self.bias.name])
 
     def forward_np(self, x, values, training):
-        w = wn_reparam_values(values[self.v.name], values[self.gamma.name], self.name)
-        y = conv2d_np(x, w)
+        v = values[self.v.name]
+        scale = values[self.gamma.name] / _direction_norms(v, self.name)
+        y = conv2d_np(x, scale.reshape(-1, 1, 1, 1) * v)
         return y + values[self.bias.name].reshape(1, -1, 1, 1)
 
 
@@ -147,10 +150,9 @@ class BatchNorm(Layer):
     while training and tracked running statistics in eval mode (array path
     only: the tape always trains). Accepts [N,C] or [N,C,H,W] activations."""
 
-    def __init__(self, name, c, dtype=np.float64, eps_bn=1e-5):
+    def __init__(self, name, c, dtype=np.float64):
         self.name = name
         self.c = c
-        self.eps_bn = eps_bn
         self.gamma = Parameter(f"{name}.gamma", np.ones(c, dtype=dtype), ad.CHANNELWISE_1D)
         self.beta = Parameter(f"{name}.beta", np.zeros(c, dtype=dtype), ad.CHANNELWISE_1D)
         self.running_mean = np.zeros(c, dtype=dtype)
@@ -159,45 +161,44 @@ class BatchNorm(Layer):
     def params(self):
         return [self.gamma, self.beta]
 
-    @staticmethod
-    def _axes_and_keep(x_ndim: int, c: int):
-        if x_ndim == 2:
-            return (0,), (1, c)
-        if x_ndim == 4:
-            return (0, 2, 3), (1, c, 1, 1)
-        raise ShapeMismatchError(f"batch norm expects 2-D or 4-D activations, got ndim {x_ndim}")
-
-    def _check_channels(self, x_shape):
+    def _axes(self, x_shape) -> tuple:
+        """The axes the statistics reduce, every one but the channel axis 1,
+        of an [N,C] or [N,C,H,W] input with this layer's C channels."""
+        if len(x_shape) not in (2, 4):
+            raise ShapeMismatchError(
+                f"batch norm expects 2-D or 4-D activations, got ndim {len(x_shape)}"
+            )
         if x_shape[1] != self.c:
             raise ShapeMismatchError(
                 f"{self.name}: expected {self.c} channels, got {x_shape[1]} (input {x_shape})"
             )
+        return (0,) + tuple(range(2, len(x_shape)))
 
     def forward_v(self, x, env):
-        self._check_channels(x.shape)
-        axes, _ = self._axes_and_keep(x.value.ndim, self.c)
-        mu = ad.mean_axes(x, axes)
-        # x + (-mu), bitwise x - mu: the backward negates the C-vector, where
-        # sub would negate a batch-sized adjoint
-        d = ad.chshift(x, ad.neg(mu))
-        var = ad.cmul(ad.chdot(d, d), 1.0 / (x.value.size // self.c))
+        n = x.value.size // self.c
+        # x + (-mu), bitwise x - mu: the backward scales the C-vector sum by
+        # -1/n, where a subtraction would negate a batch-sized adjoint
+        neg_mu = ad.cmul(ad.sum_axes(x, self._axes(x.shape)), -1.0 / n)
+        d = ad.chshift(x, neg_mu)
+        var = ad.cmul(ad.chdot(d, d), 1.0 / n)
         # running stats track detached batch statistics
-        self.running_mean = (1 - _STAT_MOMENTUM) * self.running_mean + _STAT_MOMENTUM * mu.value
-        self.running_var = (1 - _STAT_MOMENTUM) * self.running_var + _STAT_MOMENTUM * var.value
-        inv = ad.recip(ad.sqrt(ad.cadd(var, self.eps_bn)))
+        m = _STAT_MOMENTUM
+        self.running_mean = (1 - m) * self.running_mean - m * neg_mu.value
+        self.running_var = (1 - m) * self.running_var + m * var.value
+        inv = ad.recip(ad.sqrt(ad.cadd(var, EPS_BN)))
         # gamma/sigma folded into one scale per channel: the tape holds no
         # normalized activation
         y = ad.chscale(d, ad.mul(env[self.gamma.name], inv))
         return ad.chshift(y, env[self.beta.name])
 
     def forward_np(self, x, values, training):
-        self._check_channels(x.shape)
-        axes, keep = self._axes_and_keep(x.ndim, self.c)
+        axes = self._axes(x.shape)
+        keep = (1, self.c) + (1,) * (x.ndim - 2)
         if training:
             mu, var = moments(x, axes)
         else:
             mu, var = self.running_mean, self.running_var
-        xhat = (x - mu.reshape(keep)) / np.sqrt(var.reshape(keep) + self.eps_bn)
+        xhat = (x - mu.reshape(keep)) / np.sqrt(var.reshape(keep) + EPS_BN)
         return values[self.gamma.name].reshape(keep) * xhat + values[self.beta.name].reshape(keep)
 
 
@@ -228,13 +229,6 @@ def _direction_norms(v: np.ndarray, name: str) -> np.ndarray:
     return norms
 
 
-def wn_reparam_values(v: np.ndarray, gamma: np.ndarray, name: str = "wn") -> np.ndarray:
-    """Effective kernel W_i = gamma_i V_i/|V_i|."""
-    norms = _direction_norms(v, name)
-    shape = (v.shape[0],) + (1,) * (v.ndim - 1)
-    return (gamma / norms).reshape(shape) * v
-
-
 # ---------------------------------------------------------------------------
 # losses (dual path like the layers)
 
@@ -254,10 +248,11 @@ def softmax_cross_entropy(logits: ad.Variable, labels: np.ndarray) -> ad.Variabl
     m = logits.value.max(axis=1, keepdims=True)
     z = ad.cadd(logits, -m)
     lse = ad.log(ad.sum_axes(ad.exp(z), (1,)))
+    # -1 at each label: picked is minus the label's shifted logit
     onehot = np.zeros((n, k), dtype=logits.dtype)
-    onehot[np.arange(n), labels] = 1.0
+    onehot[np.arange(n), labels] = -1.0
     picked = ad.sum_axes(ad.cmul(z, onehot), (1,))
-    return ad.cmul(ad.sum_all(ad.sub(lse, picked)), 1.0 / n)
+    return ad.cmul(ad.sum_all(ad.add(lse, picked)), 1.0 / n)
 
 
 def softmax_cross_entropy_np(logits: np.ndarray, labels: np.ndarray) -> float:

@@ -112,7 +112,7 @@ def moments(x: np.ndarray, axes: tuple) -> tuple[np.ndarray, np.ndarray]:
     if count == 0:
         raise ShapeMismatchError("empty reduction in moments")
     mean = np.mean(x, axis=axes)
-    d = x - np.mean(x, axis=axes, keepdims=True)
+    d = x - np.expand_dims(mean, axes)
     # corrected two-pass: removing the deviations' residual mean keeps a
     # constant input at exactly zero variance
     var = np.mean(d * d, axis=axes) - np.mean(d, axis=axes) ** 2

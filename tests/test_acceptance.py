@@ -104,8 +104,7 @@ def test_criterion_03_terminal_bn_block_is_diagonal_with_closed_form():
     h1 = x @ values["fc1.weight"] + values["fc1.bias"]
     mu = h1.mean(axis=0)
     var = h1.var(axis=0)
-    bn = model.layers[1]
-    xhat = (h1 - mu) / np.sqrt(var + bn.eps_bn)
+    xhat = (h1 - mu) / np.sqrt(var + nn.EPS_BN)
 
     worst_off, worst_closed = 0.0, 0.0
     for name, closed in (("bn1.gamma", np.sum(xhat ** 2, axis=0)),
@@ -199,7 +198,7 @@ def test_criterion_07_weight_norm_reproduces_plain_convolution():
     y_wn = nn.Model("b", [wn]).forward_np(x, training=True)
     out_err = oracle.max_rel_err(y_wn, y_plain)
 
-    w_eff = nn.wn_reparam_values(wn.v.value, wn.gamma.value)
+    w_eff = nets.wn_kernel(wn.v.value, wn.gamma.value)
     norms = np.sqrt(np.sum(w_eff * w_eff, axis=(1, 2, 3)))
     ulps = float(np.max(np.abs(norms - np.abs(wn.gamma.value)) /
                         np.spacing(np.abs(wn.gamma.value))))

@@ -29,18 +29,19 @@ def bn_np(bn, x):
 
 class TestBatchNorm:
     def test_normalization_hand_values(self):
-        bn = nn.BatchNorm("bn", 1, eps_bn=0.0)
+        # mean 2, population variance 2/3
+        bn = nn.BatchNorm("bn", 1)
         x = np.array([[1.0], [2.0], [3.0]])
         y = bn.forward_np(x, {"bn.gamma": np.ones(1), "bn.beta": np.zeros(1)}, training=True)
-        r = np.sqrt(1.5)
+        r = 1 / np.sqrt(2 / 3 + nn.EPS_BN)
         np.testing.assert_allclose(y[:, 0], [-r, 0.0, r], rtol=0, atol=1e-14)
 
     def test_affine_hand_values(self):
-        bn = nn.BatchNorm("bn", 1, eps_bn=0.0)
+        bn = nn.BatchNorm("bn", 1)
         x = np.array([[1.0], [2.0], [3.0]])
         y = bn.forward_np(x, {"bn.gamma": np.array([2.0]), "bn.beta": np.array([1.0])},
                           training=True)
-        r = np.sqrt(1.5)
+        r = 1 / np.sqrt(2 / 3 + nn.EPS_BN)
         np.testing.assert_allclose(y[:, 0], [1 - 2 * r, 1.0, 1 + 2 * r], rtol=0, atol=1e-14)
 
     def test_training_output_is_standardized(self):
@@ -85,7 +86,7 @@ class TestBatchNorm:
         bn.running_var = np.array([4.0, 0.25])
         model = nn.Model("m", [bn])
         x = Rng(4).normal((7, 2))
-        expected = (x - bn.running_mean) / np.sqrt(bn.running_var + bn.eps_bn)
+        expected = (x - bn.running_mean) / np.sqrt(bn.running_var + nn.EPS_BN)
         np.testing.assert_allclose(model.forward_np(x, training=False), expected,
                                    rtol=1e-13, atol=0)
 
@@ -102,22 +103,22 @@ class TestBatchNorm:
 
 class TestWeightNorm:
     def test_reparam_hand_values(self):
-        w = nn.wn_reparam_values(np.array([[3.0, 4.0]]), np.array([2.0]))
-        np.testing.assert_allclose(w, [[1.2, 1.6]], rtol=0, atol=1e-15)
+        w = nets.wn_kernel(np.array([3.0, 4.0]).reshape(1, 2, 1, 1), np.array([2.0]))
+        np.testing.assert_allclose(w.ravel(), [1.2, 1.6], rtol=0, atol=1e-15)
 
     def test_direction_scale_invariance(self):
         rng = Rng(5)
         v = rng.normal((3, 2, 3, 3))
         g = rng.normal((3,))
-        w1 = nn.wn_reparam_values(v, g)
-        w2 = nn.wn_reparam_values(7.5 * v, g)
+        w1 = nets.wn_kernel(v, g)
+        w2 = nets.wn_kernel(7.5 * v, g)
         np.testing.assert_allclose(w1, w2, rtol=1e-12, atol=1e-14)
 
     def test_row_norms_equal_gamma_within_4_ulps(self):
         rng = Rng(6)
         v = rng.normal((4, 3, 3, 3))
         g = rng.normal((4,))
-        w = nn.wn_reparam_values(v, g)
+        w = nets.wn_kernel(v, g)
         norms = np.sqrt(np.sum(w * w, axis=(1, 2, 3)))
         assert np.all(np.abs(norms - np.abs(g)) <= 4 * np.spacing(np.abs(g)))
 
@@ -125,14 +126,14 @@ class TestWeightNorm:
         layer = nn.WNConv("c", 2, 3, 3, Rng(7))
         norms = np.sqrt(np.sum(layer.v.value ** 2, axis=(1, 2, 3)))
         np.testing.assert_allclose(layer.gamma.value, norms, rtol=1e-14, atol=0)
-        w = nn.wn_reparam_values(layer.v.value, layer.gamma.value)
+        w = nets.wn_kernel(layer.v.value, layer.gamma.value)
         np.testing.assert_allclose(w, layer.v.value, rtol=1e-12, atol=1e-14)
 
     def test_zero_direction_rejected(self):
         v = np.zeros((2, 1, 3, 3))
         v[0] = 1.0
         with pytest.raises(nn.DegenerateNormError):
-            nn.wn_reparam_values(v, np.ones(2))
+            nets.wn_kernel(v, np.ones(2))
 
     def test_paths_agree(self):
         layer = nn.WNConv("c", 2, 3, 3, Rng(8))
@@ -346,6 +347,6 @@ class TestProperties:
         rng = Rng(seed)
         v = rng.normal((cout, 2, 3, 3))
         g = rng.normal((cout,)) + 0.1
-        w = nn.wn_reparam_values(v, g)
+        w = nets.wn_kernel(v, g)
         norms = np.sqrt(np.sum(w * w, axis=(1, 2, 3)))
         assert np.all(np.abs(norms - np.abs(g)) <= 4 * np.spacing(np.abs(g)) + 1e-300)
